@@ -39,6 +39,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+# argparse types; argparse names them in its "invalid <name> value" message.
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def seed_u64(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed must fit in 64 bits, got {value}")
+    return value
+
+
 def _read_operand(text: str) -> str:
     if text.startswith("@"):
         with open(text[1:], "r", encoding="ascii") as fh:
@@ -54,7 +69,7 @@ def _cmd_sub(args) -> int:
     try:
         a = parse_magnitude(_read_operand(args.a))
         b = parse_magnitude(_read_operand(args.b))
-    except (EmptyInput, InvalidDigit, OSError) as exc:
+    except (EmptyInput, InvalidDigit, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
@@ -127,16 +142,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub.add_argument("--a", required=True, help="minuend: digit string or @path")
     p_sub.add_argument("--b", required=True, help="subtrahend: digit string or @path")
     p_sub.add_argument("--parallel", action="store_true", help="use the multi-worker algorithm")
-    p_sub.add_argument("--workers", type=int, default=DEFAULT_WORKERS, help="worker count for --parallel")
+    p_sub.add_argument("--workers", type=positive_int, default=DEFAULT_WORKERS, help="worker count for --parallel")
     p_sub.add_argument("--verify", action="store_true", help="check the result against the digit-wise reference")
     p_sub.set_defaults(func=_cmd_sub)
 
     p_bench = sub.add_parser("bench", help="run the timing suite and emit CSV")
     p_bench.add_argument("--digits", default=",".join(str(d) for d in DEFAULT_DIGITS),
                          help="comma-separated operand lengths")
-    p_bench.add_argument("--runs", type=int, default=DEFAULT_RUNS, help="runs per case and algorithm")
-    p_bench.add_argument("--workers", type=int, default=DEFAULT_WORKERS, help="parallel worker count")
-    p_bench.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed for operand generation")
+    p_bench.add_argument("--runs", type=positive_int, default=DEFAULT_RUNS, help="runs per case and algorithm")
+    p_bench.add_argument("--workers", type=positive_int, default=DEFAULT_WORKERS, help="parallel worker count")
+    p_bench.add_argument("--seed", type=seed_u64, default=DEFAULT_SEED, help="master seed for operand generation")
     p_bench.add_argument("--csv", metavar="PATH", help="write CSV here instead of stdout")
     p_bench.add_argument("--verify", action="store_true", help="check every result against the reference")
     p_bench.add_argument("--emit-hash", action="store_true", help="fill the result_hash CSV column")

@@ -13,6 +13,10 @@ function of the pass before it and the outcome is independent of worker
 count.  Boards swap at a full barrier, where a single coordinator also
 decides termination.  Result limbs and write-board cells are each
 written by at most one worker per pass.
+
+Any failure breaks the barrier: a worker that raises aborts it, and the
+coordinator raises IterationLimitExceeded through it, so no worker stays
+parked.  The caller re-raises the failure once every worker has stopped.
 """
 
 import threading
@@ -164,27 +168,19 @@ class _SharedRun:
         self.pass_index = 1
         self.done = False
         self.error: BaseException | None = None
-        self._error_lock = threading.Lock()
         self.barrier = threading.Barrier(parties, action=self._coordinate)
-
-    def record_error(self, exc: BaseException) -> None:
-        with self._error_lock:
-            if self.error is None:
-                self.error = exc
 
     def _coordinate(self) -> None:
         # Runs in exactly one thread per barrier trip, while all workers
-        # are parked; must never raise or the barrier breaks.
-        if self.error is not None:
-            self.done = True
-        elif not has_pending_borrows(self.board.write):
+        # are parked.  Raising here breaks the barrier, which releases
+        # every parked worker with BrokenBarrierError.
+        if not has_pending_borrows(self.board.write):
             self.done = True
         elif self.pass_index >= self.limb_count:
-            self.error = IterationLimitExceeded(
+            raise IterationLimitExceeded(
                 f"borrows still pending after {self.pass_index} passes "
                 f"over {self.limb_count} limbs"
             )
-            self.done = True
         else:
             self.board.swap_and_reset()
             self.pass_index += 1
@@ -192,19 +188,20 @@ class _SharedRun:
 
 def _worker(chunk: ChunkAssignment, run: _SharedRun) -> None:
     try:
-        while True:
-            try:
-                if run.pass_index == 1:
-                    initial_pass(chunk, run.a, run.b, run.result, run.board.write)
-                else:
-                    borrow_pass(chunk, run.result, run.board.read, run.board.write)
-            except Exception as exc:
-                run.record_error(exc)
+        while not run.done:
+            if run.pass_index == 1:
+                initial_pass(chunk, run.a, run.b, run.result, run.board.write)
+            else:
+                borrow_pass(chunk, run.result, run.board.read, run.board.write)
             run.barrier.wait()
-            if run.done:
-                return
     except threading.BrokenBarrierError:
         return
+    except BaseException as exc:
+        # Workers failing in the same pass may race here; whichever
+        # error is kept, it is a real one.
+        if run.error is None:
+            run.error = exc
+        run.barrier.abort()
 
 
 def subtract_parallel(
@@ -218,6 +215,7 @@ def subtract_parallel(
     worker count) and the pass statistics.  The pool is created once per
     call and reused across passes; total passes are hard-capped at the
     limb count, beyond which IterationLimitExceeded signals corruption.
+    Any exception raised in a worker is re-raised here.
     """
     if workers < 1:
         raise ValueError("workers must be positive")

@@ -4,7 +4,10 @@ from bigsub.cli import main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -66,6 +69,32 @@ def test_usage_error_exit_1(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--runs", "0", "--digits", "100"],
+        ["bench", "--workers", "0", "--digits", "100"],
+        ["sub", "--a", "5", "--b", "3", "--parallel", "--workers", "0"],
+        ["sub", "--a", "@{non_ascii}", "--b", "1"],
+    ],
+    ids=["bench-runs-0", "bench-workers-0", "sub-parallel-workers-0", "sub-non-ascii-file"],
+)
+def test_bad_input_is_one_line_exit_1(argv, tmp_path, capsys):
+    non_ascii = tmp_path / "bad.txt"
+    non_ascii.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, *(a.format(non_ascii=non_ascii) for a in argv))
+    assert code == 1
+    assert err.count("error:") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_bench_seed_outside_64_bits_exit_1(seed, capsys):
+    code, _, err = run(capsys, "bench", "--digits", "100", "--seed", seed)
+    assert code == 1
+    assert "seed must fit in 64 bits" in err
+
+
 def test_bench_stdout_csv(capsys):
     code, out, err = run(
         capsys, "bench", "--digits", "200,300", "--runs", "2", "--seed", "5", "--workers", "2"
@@ -108,3 +137,21 @@ def test_selftest_exit_0(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "selftest passed" in out
+
+
+def test_selftest_prints_no_ok_for_a_failed_section(monkeypatch):
+    import bigsub.selftest as selftest_mod
+    from bigsub import IterationStats
+
+    real_subtract_parallel = selftest_mod.subtract_parallel
+
+    def one_pass_only(a, b, workers):
+        result, stats = real_subtract_parallel(a, b, workers)
+        return result, IterationStats(1, stats.limb_count, stats.workers)
+
+    monkeypatch.setattr(selftest_mod, "subtract_parallel", one_pass_only)
+    lines = []
+    assert not selftest_mod.run_selftest(echo=lines.append)
+    assert any(line.startswith("FAIL worst-case") for line in lines)
+    assert not any(line.startswith("ok: worst-case ripple") for line in lines)
+    assert lines[-1] == "selftest FAILED"

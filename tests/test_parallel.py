@@ -20,7 +20,6 @@ from bigsub import (
     subtract_parallel,
     subtract_sequential,
 )
-from bigsub.parallel import _SharedRun
 from bigsub.errors import IterationLimitExceeded
 
 B1 = LIMB_BASE - 1
@@ -258,13 +257,46 @@ def test_concurrent_callers_get_independent_results():
     assert all(r == want for r in results)
 
 
-def test_pass_cap_guard_reports_corruption():
-    run = _SharedRun(arr([1, 1]), arr([0, 0]), parties=1)
-    run.pass_index = 2  # already at the cap for 2 limbs
-    run.board.write[1] = 1  # borrows still pending
-    run._coordinate()
-    assert run.done
-    assert isinstance(run.error, IterationLimitExceeded)
+def test_pass_cap_guard_reports_corruption(monkeypatch):
+    import bigsub.parallel as par_mod
+
+    def never_drains(chunk, result, read_board, write_board):
+        write_board[chunk.start : chunk.stop] = read_board[chunk.start : chunk.stop]
+
+    monkeypatch.setattr(par_mod, "borrow_pass", never_drains)
+    with pytest.raises(IterationLimitExceeded):
+        subtract_parallel(parse_magnitude("1" + "0" * 36), parse_magnitude("1"), 2)
+
+
+def test_base_exception_in_one_worker_cannot_hang_the_pool(monkeypatch):
+    import threading
+
+    import bigsub.parallel as par_mod
+
+    class WorkerDied(BaseException):
+        pass
+
+    real_initial_pass = par_mod.initial_pass
+
+    def dies_in_worker_1(chunk, a, b, result, board):
+        if chunk.worker_id == 1:
+            raise WorkerDied
+        real_initial_pass(chunk, a, b, result, board)
+
+    monkeypatch.setattr(par_mod, "initial_pass", dies_in_worker_1)
+    seen = []
+
+    def call():
+        try:
+            subtract_parallel(parse_magnitude("1" + "0" * 90), parse_magnitude("1"), 4)
+        except BaseException as exc:
+            seen.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=10)
+    assert not caller.is_alive()
+    assert len(seen) == 1 and isinstance(seen[0], WorkerDied)
 
 
 def test_limb_range_holds_after_every_pass():
