@@ -81,7 +81,7 @@ def gen_ordered_pair(digits: int, rng: SplitMix64) -> tuple[str, str]:
     """Two generated operands of the same length, swapped so a >= b."""
     a = gen_operand(digits, rng)
     b = gen_operand(digits, rng)
-    if compare_magnitude(parse_magnitude(a), parse_magnitude(b)) < 0:
+    if a < b:  # same length, so string order is numeric order
         a, b = b, a
     return a, b
 

@@ -155,55 +155,6 @@ def borrow_pass(
         write_board[s + drained - 1] = 1
 
 
-class _SharedRun:
-    """State shared by the worker pool for one subtraction."""
-
-    def __init__(self, a_arr, b_arr, parties: int):
-        n = len(a_arr)
-        self.a = a_arr
-        self.b = b_arr
-        self.result = np.empty(n, dtype=np.int64)
-        self.board = BorrowBoard(n)
-        self.limb_count = n
-        self.pass_index = 1
-        self.done = False
-        self.error: BaseException | None = None
-        self.barrier = threading.Barrier(parties, action=self._coordinate)
-
-    def _coordinate(self) -> None:
-        # Runs in exactly one thread per barrier trip, while all workers
-        # are parked.  Raising here breaks the barrier, which releases
-        # every parked worker with BrokenBarrierError.
-        if not has_pending_borrows(self.board.write):
-            self.done = True
-        elif self.pass_index >= self.limb_count:
-            raise IterationLimitExceeded(
-                f"borrows still pending after {self.pass_index} passes "
-                f"over {self.limb_count} limbs"
-            )
-        else:
-            self.board.swap_and_reset()
-            self.pass_index += 1
-
-
-def _worker(chunk: ChunkAssignment, run: _SharedRun) -> None:
-    try:
-        while not run.done:
-            if run.pass_index == 1:
-                initial_pass(chunk, run.a, run.b, run.result, run.board.write)
-            else:
-                borrow_pass(chunk, run.result, run.board.read, run.board.write)
-            run.barrier.wait()
-    except threading.BrokenBarrierError:
-        return
-    except BaseException as exc:
-        # Workers failing in the same pass may race here; whichever
-        # error is kept, it is a real one.
-        if run.error is None:
-            run.error = exc
-        run.barrier.abort()
-
-
 def subtract_parallel(
     a: DecimalMagnitude,
     b: DecimalMagnitude,
@@ -225,17 +176,59 @@ def subtract_parallel(
     a_arr = np.array(a.limbs, dtype=np.int64)
     b_arr = np.zeros(n, dtype=np.int64)
     b_arr[n - b.limb_count :] = b.limbs
+    result_limbs = np.empty(n, dtype=np.int64)
+    board = BorrowBoard(n)
     chunks = partition_limbs(n, workers)
-    run = _SharedRun(a_arr, b_arr, parties=len(chunks))
+    pass_index = 1
+    done = False
+    error: BaseException | None = None
+
+    def coordinate() -> None:
+        # Runs in exactly one thread per barrier trip, while all workers
+        # are parked.  Raising here breaks the barrier, which releases
+        # every parked worker with BrokenBarrierError.
+        nonlocal pass_index, done
+        if not has_pending_borrows(board.write):
+            done = True
+        elif pass_index >= n:
+            raise IterationLimitExceeded(
+                f"borrows still pending after {pass_index} passes over {n} limbs"
+            )
+        else:
+            board.swap_and_reset()
+            pass_index += 1
+
+    # Nothing the barrier's action reaches refers back to the barrier, so
+    # the call's arrays are freed by reference counting when it returns.
+    barrier = threading.Barrier(len(chunks), action=coordinate)
+
+    def work(chunk: ChunkAssignment) -> None:
+        nonlocal error
+        try:
+            while not done:
+                if pass_index == 1:
+                    initial_pass(chunk, a_arr, b_arr, result_limbs, board.write)
+                else:
+                    borrow_pass(chunk, result_limbs, board.read, board.write)
+                barrier.wait()
+        except threading.BrokenBarrierError:
+            return
+        except BaseException as exc:
+            # Workers failing in the same pass may race here; whichever
+            # error is kept, it is a real one.
+            if error is None:
+                error = exc
+            barrier.abort()
+
     pool = [
-        threading.Thread(target=_worker, args=(chunk, run), name=f"limb-{chunk.worker_id}")
+        threading.Thread(target=work, args=(chunk,), name=f"limb-{chunk.worker_id}")
         for chunk in chunks
     ]
     for t in pool:
         t.start()
     for t in pool:
         t.join()
-    if run.error is not None:
-        raise run.error
-    result = DecimalMagnitude(canonical_limbs(run.result.tolist()))
-    return result, IterationStats(run.pass_index, n, len(chunks))
+    if error is not None:
+        raise error
+    result = DecimalMagnitude(canonical_limbs(result_limbs.tolist()))
+    return result, IterationStats(pass_index, n, len(chunks))

@@ -5,6 +5,7 @@ against the digit-wise reference and confirms the iteration bounds of
 the parallel scheme on its extreme inputs.
 """
 
+from .bench import gen_ordered_pair
 from .magnitude import compare_magnitude, format_magnitude, parse_magnitude
 from .oracle import subtract_digitwise
 from .parallel import subtract_parallel
@@ -15,27 +16,34 @@ _SEED = 20260810
 _WORKER_CYCLE = (1, 2, 3, 4, 8)
 
 
-def _directed_pairs() -> list[tuple[str, str]]:
+def directed_pairs() -> list[tuple[str, str]]:
+    """Borrow-chain stress cases, each with a >= b: power-of-ten ripples,
+    long zero runs, equal operands, zero subtrahends, all-nines and
+    limb-boundary lengths.  Shared with the acceptance suite."""
     pairs = [
         ("1" + "0" * 54, "1"),
         ("1" + "0" * 90, "9" * 18),
         ("9" * 60, "9" * 60),
         ("9" * 60, "1"),
         ("12345678909876543211234567890987654321", "0"),
+        ("12345678909876543211234567890987654321", "12345678909876543211234567890987654321"),
         ("1000000000000000000", "1"),
         ("1000000000000000000", "999999999999999999"),
         ("7", "7"),
         ("10", "9"),
+        ("1", "0"),
     ]
-    for k in (19, 37, 54, 72, 180):
-        pairs.append(("1" + "0" * k, "1"))
-        pairs.append(("5" + "0" * k + "3", "4"))
-    return pairs
+    for k in (1, 2, 17, 18, 19, 36, 37, 54, 72, 90, 180, 900):
+        pairs.append(("1" + "0" * k, "1"))  # full ripple
+        pairs.append(("5" + "0" * k + "3", "4"))  # zero run
+    for k in (1, 2, 17, 18, 19, 36, 54, 90, 180, 900):
+        pairs.append(("1" + "0" * k, "9" * k))  # 10^k - (10^k - 1)
+        pairs.append(("9" * (k + 1), "9" * (k + 1)))  # equal
+        pairs.append(("9" * (k + 1), "0"))  # b = 0
+    return list(dict.fromkeys(pairs))
 
 
 def _random_pairs(count: int, max_digits: int) -> list[tuple[str, str]]:
-    from .bench import gen_ordered_pair
-
     rng = SplitMix64(_SEED)
     pairs = []
     for _ in range(count):
@@ -47,7 +55,7 @@ def _random_pairs(count: int, max_digits: int) -> list[tuple[str, str]]:
 def run_selftest(echo=print) -> bool:
     ok = True
 
-    pairs = _directed_pairs() + _random_pairs(300, 600)
+    pairs = directed_pairs() + _random_pairs(300, 600)
     checked = 0
     for idx, (a_text, b_text) in enumerate(pairs):
         a = parse_magnitude(a_text)

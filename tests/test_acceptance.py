@@ -25,6 +25,7 @@ from bigsub import (
     subtract_sequential,
 )
 from bigsub.bench import BenchCase, gen_operand, gen_ordered_pair, run_bench
+from bigsub.selftest import directed_pairs
 
 from test_rescan_reference import forced_borrow_pairs, subtract_rescan
 from bigsub import pad_to_length
@@ -46,23 +47,6 @@ def criterion(num, desc):
         print(f"\ncriterion {num:2d} FAIL: {desc}", flush=True)
         raise
     print(f"\ncriterion {num:2d} PASS: {desc} [{time.perf_counter() - t0:.1f}s]", flush=True)
-
-
-def directed_pairs():
-    """Borrow-chain stress cases: power-of-ten ripples, long zero runs,
-    equal operands, zero subtrahends, all-nines boundaries."""
-    pairs = []
-    for k in (1, 2, 17, 18, 19, 36, 54, 90, 180, 900):
-        pairs.append(("1" + "0" * k, "1"))                      # full ripple
-        pairs.append(("1" + "0" * k, "9" * k))                  # 10^k - (10^k - 1)
-        pairs.append(("9" * (k + 1), "9" * (k + 1)))            # equal
-        pairs.append(("9" * (k + 1), "0"))                      # b = 0
-        pairs.append(("5" + "0" * k + "3", "4"))                # zero run
-    pairs.append(("1000000000000000000", "999999999999999999"))
-    pairs.append(("12345678909876543211234567890987654321", "12345678909876543211234567890987654321"))
-    pairs.append(("10", "9"))
-    pairs.append(("1", "0"))
-    return [(a, b) for a, b in pairs if int(a) >= int(b)]
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,6 +257,22 @@ def test_concurrent_callers_get_independent_results():
     for t in threads:
         t.join()
     assert all(r == want for r in results)
+
+
+def test_successful_calls_leave_no_reference_cycles():
+    # a call's arrays must be freed when it returns, not when the cyclic
+    # collector next runs
+    borrow_free = (parse_magnitude("9876" * 20), parse_magnitude("1032" * 20))
+    ripple = (parse_magnitude("1" + "0" * 90), parse_magnitude("1"))
+    gc.collect()
+    gc.disable()
+    try:
+        for w in (1, 2, 4):
+            assert subtract_parallel(*borrow_free, w)[1].iterations == 1
+            assert subtract_parallel(*ripple, w)[1].iterations == 6
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_pass_cap_guard_reports_corruption(monkeypatch):
