@@ -8,12 +8,16 @@ limb is below 10^18 and any transient produced during subtraction
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EmptyInput, InvalidDigit, LengthUnderflow
 
 LIMB_DIGITS = 18
 LIMB_BASE = 10**LIMB_DIGITS
 
 _DIGITS = frozenset("0123456789")
+# place values of the digits in one limb, most significant first
+_DIGIT_WEIGHTS = 10 ** np.arange(LIMB_DIGITS - 1, -1, -1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -30,7 +34,8 @@ class DecimalMagnitude:
             raise ValueError("magnitude needs at least one limb")
         if len(self.limbs) > 1 and self.limbs[0] == 0:
             raise ValueError("leading zero limb in a multi-limb magnitude")
-        for limb in self.limbs:
+        # every limb is in range iff the smallest and the largest are
+        for limb in (min(self.limbs), max(self.limbs)):
             if not 0 <= limb < LIMB_BASE:
                 raise ValueError(f"limb {limb} outside [0, 10^{LIMB_DIGITS})")
 
@@ -58,21 +63,24 @@ def parse_magnitude(s: str) -> DecimalMagnitude:
     """Parse a decimal digit string into limbs, most significant first.
 
     Limbs are the right-to-left 18-digit slices of the string; leading
-    zeros are absorbed so the result is canonical.
+    zeros are absorbed so the result is canonical.  Only ASCII digits are
+    accepted; the first other character raises InvalidDigit.
     """
     if len(s) == 0:
         raise EmptyInput("empty operand")
-    if not (s.isascii() and s.isdigit()):
+    # bytes.isdigit accepts ASCII digits only; b"".isdigit() is False, so
+    # non-ASCII text takes the scan that locates the offending character
+    raw = s.encode("ascii") if s.isascii() else b""
+    if not raw.isdigit():
         for pos, ch in enumerate(s):
             if ch not in _DIGITS:
                 raise InvalidDigit(pos, ch)
-    s = s.lstrip("0")
-    if not s:
+    raw = raw.lstrip(b"0")
+    if not raw:
         return DecimalMagnitude((0,))
-    head = len(s) % LIMB_DIGITS or LIMB_DIGITS
-    limbs = [int(s[:head])]
-    limbs.extend(int(s[i : i + LIMB_DIGITS]) for i in range(head, len(s), LIMB_DIGITS))
-    return DecimalMagnitude(tuple(limbs))
+    raw = raw.rjust(-(-len(raw) // LIMB_DIGITS) * LIMB_DIGITS, b"0")
+    digits = (np.frombuffer(raw, np.uint8) - ord("0")).reshape(-1, LIMB_DIGITS)
+    return DecimalMagnitude(tuple((digits.astype(np.int64) @ _DIGIT_WEIGHTS).tolist()))
 
 
 def format_magnitude(m: DecimalMagnitude) -> str:
@@ -81,9 +89,7 @@ def format_magnitude(m: DecimalMagnitude) -> str:
     The most-significant limb is rendered bare; every inner limb is
     zero-padded to 18 characters so concatenation is value-correct.
     """
-    if m.limb_count == 1:
-        return "%d" % m.limbs[0]
-    return "%d" % m.limbs[0] + "".join("%018d" % limb for limb in m.limbs[1:])
+    return ("%d" + "%018d" * (m.limb_count - 1)) % tuple(m.limbs)
 
 
 def compare_magnitude(a: DecimalMagnitude, b: DecimalMagnitude) -> int:

@@ -229,6 +229,14 @@ def subtract_parallel(
     for t in pool:
         t.join()
     if error is not None:
-        raise error
+        # The error's traceback reaches work's frame and through it the
+        # `error` cell, and once raised here, this frame too: drop both
+        # references so a failed call frees its arrays without the cyclic
+        # collector.
+        failure, error = error, None
+        try:
+            raise failure
+        finally:
+            del failure
     result = DecimalMagnitude(canonical_limbs(result_limbs.tolist()))
     return result, IterationStats(pass_index, n, len(chunks))

@@ -2,7 +2,8 @@
 
 Checks both limb algorithms, and the digit-wise oracle they are otherwise
 compared with, against str(int(a) - int(b)) on seeded operands of up to
-10^5 digits and on lengths at the 18-digit limb boundaries.
+10^5 digits and on lengths at the 18-digit limb boundaries; and parse and
+format against int on one 10^6-digit operand, the benchmark's size.
 """
 
 import sys
@@ -10,6 +11,7 @@ import sys
 import pytest
 
 from bigsub import (
+    LIMB_BASE,
     SplitMix64,
     format_magnitude,
     parse_magnitude,
@@ -60,3 +62,27 @@ def test_algorithms_match_python_int(unlimited_int_digits):
         assert format_magnitude(subtract_sequential(a, b)) == want
         got, _ = subtract_parallel(a, b, 1 + idx % 4)
         assert format_magnitude(got) == want
+
+
+def limbs_value(limbs):
+    """Value of base-10^18 limbs, most significant first, by halving: about
+    1 s at 10^6 digits, where Horner's rule is quadratic."""
+    if len(limbs) == 1:
+        return limbs[0]
+    mid = len(limbs) // 2
+    low = limbs[mid:]
+    return limbs_value(limbs[:mid]) * LIMB_BASE ** len(low) + limbs_value(low)
+
+
+def test_codec_matches_python_int_at_benchmark_scale(unlimited_int_digits):
+    # Before Python 3.12, int(text) is quadratic (about 9 s at 10^6 digits)
+    # and str() of the result more so (about 20 s), so the int is built
+    # once; text has a nonzero lead digit, so it is str(int(text)) and
+    # format_magnitude is compared with it directly.
+    text = gen_operand(10**6, SplitMix64(SEED))
+    assert text[0] != "0"
+    want = int(text)
+    for padded in (text, "0" * 25 + text):
+        m = parse_magnitude(padded)
+        assert limbs_value(m.limbs) == want
+        assert format_magnitude(m) == text

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from bigsub import (
     LIMB_BASE,
+    LIMB_DIGITS,
     DecimalMagnitude,
     EmptyInput,
     InvalidDigit,
@@ -13,6 +14,8 @@ from bigsub import (
     format_magnitude,
     pad_to_length,
     parse_magnitude,
+    subtract_parallel,
+    subtract_sequential,
 )
 
 B1 = LIMB_BASE - 1
@@ -24,8 +27,8 @@ def test_parse_splits_right_to_left():
 
 
 def test_parse_zero():
-    assert parse_magnitude("0").limbs == (0,)
-    assert parse_magnitude("0000").limbs == (0,)
+    for length in (1, 4, 17, 18, 19, 36):
+        assert parse_magnitude("0" * length).limbs == (0,)
 
 
 def test_parse_strips_leading_zeros():
@@ -37,12 +40,35 @@ def test_parse_empty_rejected():
         parse_magnitude("")
 
 
-@pytest.mark.parametrize("text,pos,char", [("12a3", 2, "a"), ("-5", 0, "-"), ("1 2", 1, " ")])
+@pytest.mark.parametrize(
+    "text,pos,char",
+    [
+        ("12a3", 2, "a"),
+        ("-5", 0, "-"),
+        ("1 2", 1, " "),
+        ("12/3", 2, "/"),  # 0x2F, just below "0"
+        ("123:", 3, ":"),  # 0x3A, just above "9"
+        ("4\x005", 1, "\x00"),
+        ("\x7f9", 0, "\x7f"),
+        ("000a1", 3, "a"),
+        ("12\u06634", 2, "\u0663"),  # ARABIC-INDIC DIGIT THREE after ASCII digits
+        ("\u00b2", 0, "\u00b2"),  # SUPERSCRIPT TWO: str.isdigit() accepts it
+        ("9\ud800", 1, "\ud800"),  # a lone surrogate: no codec encodes it
+    ],
+)
 def test_parse_invalid_digit_carries_position(text, pos, char):
     with pytest.raises(InvalidDigit) as err:
         parse_magnitude(text)
     assert err.value.position == pos
     assert err.value.char == char
+
+
+def test_parse_invalid_last_digit_of_a_long_operand():
+    text = "7" * (10**6 - 1) + "x"
+    with pytest.raises(InvalidDigit) as err:
+        parse_magnitude(text)
+    assert err.value.position == 10**6 - 1
+    assert err.value.char == "x"
 
 
 def test_parse_rejects_unicode_digits():
@@ -55,6 +81,7 @@ def test_format_pads_inner_limbs():
     assert format_magnitude(m) == "12345678909876543211234567890987654321"
     assert format_magnitude(DecimalMagnitude((1, 5))) == "1000000000000000005"
     assert format_magnitude(DecimalMagnitude((0,))) == "0"
+    assert format_magnitude(DecimalMagnitude([7, 0, 42])) == "7" + "0" * 34 + "42"
 
 
 def test_compare_by_limb_count_then_lexicographic():
@@ -80,6 +107,20 @@ def test_magnitude_invariants_enforced():
         DecimalMagnitude((LIMB_BASE,))
     with pytest.raises(ValueError):
         DecimalMagnitude((-1,))
+
+
+@pytest.mark.parametrize("limbs,bad", [((1, LIMB_BASE, 0), LIMB_BASE), ((1, -1, 2), -1)])
+def test_inner_limb_out_of_range_is_named(limbs, bad):
+    with pytest.raises(ValueError, match=f"limb {bad} outside"):
+        DecimalMagnitude(limbs)
+
+
+def test_limbs_are_a_tuple_of_python_ints():
+    a = parse_magnitude("9" * (3 * LIMB_DIGITS + 5))
+    b = parse_magnitude("1" + "0" * (2 * LIMB_DIGITS))
+    for m in (a, b, subtract_sequential(a, b), subtract_parallel(a, b, 2)[0]):
+        assert type(m.limbs) is tuple
+        assert all(type(limb) is int for limb in m.limbs)
 
 
 digit_strings = st.integers(min_value=0, max_value=10**200 - 1).map(str)

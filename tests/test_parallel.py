@@ -275,6 +275,36 @@ def test_successful_calls_leave_no_reference_cycles():
         gc.enable()
 
 
+def test_failed_calls_leave_no_reference_cycles(monkeypatch):
+    # a failed call's arrays must be freed with its exception, not when the
+    # cyclic collector next runs
+    import bigsub.parallel as par_mod
+
+    class WorkerDied(BaseException):
+        pass
+
+    ripple = (parse_magnitude("1" + "0" * 90), parse_magnitude("1"))
+    for failure in (BorrowExhausted, WorkerDied):
+
+        def failing(chunk, a, b, result, board, failure=failure):
+            raise failure(chunk.start)
+
+        monkeypatch.setattr(par_mod, "initial_pass", failing)
+        gc.collect()
+        gc.disable()
+        try:
+            for w in (1, 2, 4):
+                try:
+                    subtract_parallel(*ripple, w)
+                except (BorrowExhausted, WorkerDied):
+                    pass
+                else:
+                    pytest.fail("the patched initial_pass did not fail the call")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 def test_pass_cap_guard_reports_corruption(monkeypatch):
     import bigsub.parallel as par_mod
 
