@@ -4,6 +4,10 @@ Two interchangeable algorithms: a single-worker left-scan subtraction
 and a multi-worker speculative-borrow scheme that resolves borrows over
 synchronized passes.  A digit-wise reference implementation and a
 benchmark CLI round out the package.
+
+The top level holds what a library caller needs: the codec, the three
+algorithms, their result types and the errors they raise.  The kernel
+pieces of the worker pool stay in `bigsub.parallel`.
 """
 
 from .errors import (
@@ -11,9 +15,7 @@ from .errors import (
     EmptyInput,
     InvalidDigit,
     IterationLimitExceeded,
-    LengthUnderflow,
     NegativeResult,
-    VerificationFailure,
 )
 from .magnitude import (
     LIMB_BASE,
@@ -21,51 +23,28 @@ from .magnitude import (
     DecimalMagnitude,
     compare_magnitude,
     format_magnitude,
-    pad_to_length,
     parse_magnitude,
 )
-from .oracle import add_digitwise, subtract_digitwise
-from .parallel import (
-    BorrowBoard,
-    ChunkAssignment,
-    IterationStats,
-    borrow_pass,
-    has_pending_borrows,
-    initial_pass,
-    partition_limbs,
-    subtract_parallel,
-)
-from .rng import SplitMix64
-from .sequential import OpCount, borrow_from_left, subtract_sequential
+from .oracle import subtract_digitwise
+from .parallel import IterationStats, subtract_parallel
+from .sequential import OpCount, subtract_sequential
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BorrowBoard",
     "BorrowExhausted",
-    "ChunkAssignment",
     "DecimalMagnitude",
     "EmptyInput",
     "InvalidDigit",
     "IterationLimitExceeded",
     "IterationStats",
-    "LengthUnderflow",
     "LIMB_BASE",
     "LIMB_DIGITS",
     "NegativeResult",
     "OpCount",
-    "SplitMix64",
-    "VerificationFailure",
-    "add_digitwise",
-    "borrow_from_left",
-    "borrow_pass",
     "compare_magnitude",
     "format_magnitude",
-    "has_pending_borrows",
-    "initial_pass",
-    "pad_to_length",
     "parse_magnitude",
-    "partition_limbs",
     "subtract_digitwise",
     "subtract_parallel",
     "subtract_sequential",

@@ -30,6 +30,9 @@ class DecimalMagnitude:
     limbs: tuple[int, ...]
 
     def __post_init__(self):
+        # kept as given, a list would make the instance unhashable and
+        # unequal to the same limbs in a tuple; tuple() of a tuple is itself
+        object.__setattr__(self, "limbs", tuple(self.limbs))
         if len(self.limbs) == 0:
             raise ValueError("magnitude needs at least one limb")
         if len(self.limbs) > 1 and self.limbs[0] == 0:
@@ -42,9 +45,6 @@ class DecimalMagnitude:
     @property
     def limb_count(self) -> int:
         return len(self.limbs)
-
-    def is_zero(self) -> bool:
-        return self.limbs == (0,)
 
     def __str__(self) -> str:
         return format_magnitude(self)

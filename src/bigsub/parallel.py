@@ -14,8 +14,9 @@ count.  Boards swap at a full barrier, where a single coordinator also
 decides termination.  Result limbs and write-board cells are each
 written by at most one worker per pass.
 
-Any failure breaks the barrier: a worker that raises aborts it, and the
-coordinator raises IterationLimitExceeded through it, so no worker stays
+Any failure breaks the barrier: a worker that raises aborts it, the
+coordinator raises IterationLimitExceeded through it, and a worker thread
+that fails to start makes the caller abort it, so no worker stays
 parked.  The caller re-raises the failure once every worker has stopped.
 """
 
@@ -224,8 +225,20 @@ def subtract_parallel(
         threading.Thread(target=work, args=(chunk,), name=f"limb-{chunk.worker_id}")
         for chunk in chunks
     ]
-    for t in pool:
-        t.start()
+    started = 0
+    try:
+        for t in pool:
+            t.start()
+            started += 1
+    except BaseException:
+        # The barrier can never fill, so release the workers parked on it.
+        # A worker error kept meanwhile would close a cycle through its
+        # traceback, and the start failure is the one to report.
+        barrier.abort()
+        for t in pool[:started]:
+            t.join()
+        error = None
+        raise
     for t in pool:
         t.join()
     if error is not None:

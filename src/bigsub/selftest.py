@@ -43,19 +43,32 @@ def directed_pairs() -> list[tuple[str, str]]:
     return list(dict.fromkeys(pairs))
 
 
-def _random_pairs(count: int, max_digits: int) -> list[tuple[str, str]]:
-    rng = SplitMix64(_SEED)
+def random_pairs(count: int, max_digits: int, seed: int) -> list[tuple[str, str]]:
+    """Seeded ordered pairs from gen_ordered_pair, 1 to max_digits digits
+    long.  Shared with the acceptance suite."""
+    rng = SplitMix64(seed)
+    return [gen_ordered_pair(1 + int(rng.next_u64()) % max_digits, rng) for _ in range(count)]
+
+
+def borrow_free_pairs(count: int, max_digits: int, seed: int) -> list[tuple[str, str]]:
+    """Pairs where every minuend limb >= the aligned subtrahend limb:
+    minuend digits 5-9, subtrahend digits 1-4, no longer than the minuend.
+    Shared with the acceptance suite."""
+    rng = SplitMix64(seed)
     pairs = []
     for _ in range(count):
-        digits = 1 + int(rng.next_u64()) % max_digits
-        pairs.append(gen_ordered_pair(digits, rng))
+        la = 1 + int(rng.next_u64()) % max_digits
+        lb = 1 + int(rng.next_u64()) % la
+        a = "".join(chr(ord("5") + int(v) % 5) for v in rng.next_block(la))
+        b = "".join(chr(ord("1") + int(v) % 4) for v in rng.next_block(lb))
+        pairs.append((a, b))
     return pairs
 
 
 def run_selftest(echo=print) -> bool:
     ok = True
 
-    pairs = directed_pairs() + _random_pairs(300, 600)
+    pairs = directed_pairs() + random_pairs(300, 600, _SEED)
     checked = 0
     for idx, (a_text, b_text) in enumerate(pairs):
         a = parse_magnitude(a_text)
@@ -91,11 +104,7 @@ def run_selftest(echo=print) -> bool:
     ok = ok and ripple_ok
 
     borrow_free_ok = True
-    rng = SplitMix64(_SEED + 1)
-    for i in range(50):
-        digits = 1 + int(rng.next_u64()) % 200
-        big = "".join(chr(ord("5") + int(v) % 5) for v in rng.next_block(digits))
-        small = "".join(chr(ord("1") + int(v) % 4) for v in rng.next_block(digits))
+    for i, (big, small) in enumerate(borrow_free_pairs(50, 200, _SEED + 1)):
         _, stats = subtract_parallel(
             parse_magnitude(big), parse_magnitude(small), _WORKER_CYCLE[i % len(_WORKER_CYCLE)]
         )

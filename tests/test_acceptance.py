@@ -16,19 +16,18 @@ import pytest
 import bigsub
 from bigsub import (
     OpCount,
-    SplitMix64,
-    compare_magnitude,
     format_magnitude,
     parse_magnitude,
     subtract_digitwise,
     subtract_parallel,
     subtract_sequential,
 )
-from bigsub.bench import BenchCase, gen_operand, gen_ordered_pair, run_bench
-from bigsub.selftest import directed_pairs
+from bigsub.bench import BenchCase, gen_operand, run_bench
+from bigsub.magnitude import pad_to_length
+from bigsub.rng import SplitMix64
+from bigsub.selftest import borrow_free_pairs, directed_pairs, random_pairs
 
 from test_rescan_reference import forced_borrow_pairs, subtract_rescan
-from bigsub import pad_to_length
 
 CORPUS_SEED = 0xACCE5
 CORPUS_SIZE = 10_000
@@ -51,12 +50,7 @@ def criterion(num, desc):
 
 @pytest.fixture(scope="module")
 def corpus():
-    rng = SplitMix64(CORPUS_SEED)
-    pairs = directed_pairs()
-    for _ in range(CORPUS_SIZE):
-        digits = 1 + int(rng.next_u64()) % 4000
-        pairs.append(gen_ordered_pair(digits, rng))
-    return pairs
+    return directed_pairs() + random_pairs(CORPUS_SIZE, 4000, CORPUS_SEED)
 
 
 @pytest.fixture(scope="module")
@@ -67,18 +61,6 @@ def solved_corpus(corpus):
         b = parse_magnitude(b_text)
         solved.append((a, b, subtract_sequential(a, b)))
     return solved
-
-
-def borrow_free_pairs(count, seed):
-    """Pairs where every minuend limb >= the aligned subtrahend limb:
-    minuend digits 5-9, subtrahend digits 1-4, no longer than the minuend."""
-    rng = SplitMix64(seed)
-    for _ in range(count):
-        la = 1 + int(rng.next_u64()) % 600
-        lb = 1 + int(rng.next_u64()) % la
-        a = "".join(chr(ord("5") + int(v) % 5) for v in rng.next_block(la))
-        b = "".join(chr(ord("1") + int(v) % 4) for v in rng.next_block(lb))
-        yield parse_magnitude(a), parse_magnitude(b)
 
 
 def test_criterion_01_oracle_equivalence(corpus, solved_corpus):
@@ -114,14 +96,16 @@ def test_criterion_03_worst_case_iterations():
 
 def test_criterion_04_best_case_single_pass():
     with criterion(4, "borrow-free inputs finish after the initial pass"):
-        for i, (a, b) in enumerate(borrow_free_pairs(300, CORPUS_SEED + 4)):
+        for i, (a_text, b_text) in enumerate(borrow_free_pairs(300, 600, CORPUS_SEED + 4)):
+            a, b = parse_magnitude(a_text), parse_magnitude(b_text)
             _, stats = subtract_parallel(a, b, WORKER_COUNTS[i % len(WORKER_COUNTS)])
             assert stats.iterations == 1
 
 
 def test_criterion_05_basic_operation_count():
     with criterion(5, "borrow-free sequential runs exactly limb_count subtractions"):
-        for a, b in borrow_free_pairs(300, CORPUS_SEED + 5):
+        for a_text, b_text in borrow_free_pairs(300, 600, CORPUS_SEED + 5):
+            a, b = parse_magnitude(a_text), parse_magnitude(b_text)
             ops = OpCount()
             subtract_sequential(a, b, ops)
             assert ops.limb_subtractions == a.limb_count

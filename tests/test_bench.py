@@ -1,7 +1,7 @@
 import pytest
 
 import bigsub.bench as bench
-from bigsub import DecimalMagnitude, SplitMix64, VerificationFailure, compare_magnitude, parse_magnitude
+from bigsub import DecimalMagnitude, compare_magnitude, parse_magnitude
 from bigsub.bench import (
     CSV_HEADER,
     BenchCase,
@@ -12,6 +12,8 @@ from bigsub.bench import (
     rows_to_csv,
     run_bench,
 )
+from bigsub.errors import VerificationFailure
+from bigsub.rng import SplitMix64
 
 
 def test_gen_operand_golden_values():

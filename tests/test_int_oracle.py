@@ -12,7 +12,6 @@ import pytest
 
 from bigsub import (
     LIMB_BASE,
-    SplitMix64,
     format_magnitude,
     parse_magnitude,
     subtract_digitwise,
@@ -20,6 +19,7 @@ from bigsub import (
     subtract_sequential,
 )
 from bigsub.bench import gen_operand, gen_ordered_pair
+from bigsub.rng import SplitMix64
 
 SEED = 0x1E7
 LIMB_BOUNDARY_LENGTHS = (1, 17, 18, 19, 35, 36, 37, 53, 54, 55, 17 * 18, 18 * 18, 19 * 18 + 1)

@@ -8,15 +8,15 @@ from bigsub import (
     DecimalMagnitude,
     EmptyInput,
     InvalidDigit,
-    LengthUnderflow,
-    SplitMix64,
     compare_magnitude,
     format_magnitude,
-    pad_to_length,
     parse_magnitude,
     subtract_parallel,
     subtract_sequential,
 )
+from bigsub.errors import LengthUnderflow
+from bigsub.magnitude import pad_to_length
+from bigsub.rng import SplitMix64
 
 B1 = LIMB_BASE - 1
 
@@ -82,6 +82,12 @@ def test_format_pads_inner_limbs():
     assert format_magnitude(DecimalMagnitude((1, 5))) == "1000000000000000005"
     assert format_magnitude(DecimalMagnitude((0,))) == "0"
     assert format_magnitude(DecimalMagnitude([7, 0, 42])) == "7" + "0" * 34 + "42"
+
+
+def test_limbs_given_as_a_list_act_as_a_tuple():
+    assert DecimalMagnitude([1, 2]) == DecimalMagnitude((1, 2))
+    assert compare_magnitude(DecimalMagnitude([1, 2]), DecimalMagnitude((1, 3))) == -1
+    assert hash(DecimalMagnitude([1])) == hash(DecimalMagnitude((1,)))
 
 
 def test_compare_by_limb_count_then_lexicographic():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bigsub import EmptyInput, InvalidDigit, NegativeResult, add_digitwise, subtract_digitwise
+from bigsub import EmptyInput, InvalidDigit, NegativeResult, subtract_digitwise
+from bigsub.oracle import add_digitwise
 
 
 def test_subtract_examples():

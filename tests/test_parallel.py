@@ -1,4 +1,5 @@
 import gc
+import threading
 
 import numpy as np
 import pytest
@@ -8,21 +9,23 @@ from hypothesis import strategies as st
 from bigsub import (
     LIMB_BASE,
     BorrowExhausted,
-    ChunkAssignment,
     IterationStats,
     NegativeResult,
-    SplitMix64,
-    borrow_pass,
     compare_magnitude,
     format_magnitude,
-    has_pending_borrows,
-    initial_pass,
     parse_magnitude,
-    partition_limbs,
     subtract_parallel,
     subtract_sequential,
 )
 from bigsub.errors import IterationLimitExceeded
+from bigsub.parallel import (
+    ChunkAssignment,
+    borrow_pass,
+    has_pending_borrows,
+    initial_pass,
+    partition_limbs,
+)
+from bigsub.rng import SplitMix64
 
 B1 = LIMB_BASE - 1
 
@@ -345,6 +348,53 @@ def test_base_exception_in_one_worker_cannot_hang_the_pool(monkeypatch):
     caller.join(timeout=10)
     assert not caller.is_alive()
     assert len(seen) == 1 and isinstance(seen[0], WorkerDied)
+
+
+@pytest.mark.parametrize("worker_fails", [False, True])
+def test_failed_thread_start_releases_the_started_workers(monkeypatch, worker_fails):
+    # a worker thread that cannot start leaves the barrier short of parties:
+    # the started workers must be released and joined, and the start
+    # failure reported, also when a started worker failed meanwhile
+    import bigsub.parallel as par_mod
+
+    real_start = threading.Thread.start
+    limb_starts = []
+
+    def start(thread):
+        if thread.name.startswith("limb-"):
+            limb_starts.append(thread.name)
+            if len(limb_starts) == 2:
+                raise RuntimeError("can't start new thread")
+        real_start(thread)
+
+    def fails_in_worker_0(chunk, a, b, result, board):
+        raise BorrowExhausted(chunk.start)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    if worker_fails:
+        monkeypatch.setattr(par_mod, "initial_pass", fails_in_worker_0)
+    seen = []
+
+    def call():
+        try:
+            subtract_parallel(parse_magnitude("1" + "0" * 90), parse_magnitude("1"), 4)
+        except BaseException as exc:
+            # keep no reference to exc: its traceback reaches this frame
+            seen.append((type(exc), str(exc)))
+
+    caller = threading.Thread(target=call, daemon=True)
+    gc.collect()
+    gc.disable()
+    try:
+        caller.start()
+        caller.join(timeout=10)
+        assert not caller.is_alive()
+        assert seen == [(RuntimeError, "can't start new thread")]
+        assert limb_starts == ["limb-0", "limb-1"]
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("limb-")]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_limb_range_holds_after_every_pass():

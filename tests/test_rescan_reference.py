@@ -7,7 +7,9 @@ rendition of pencil-and-paper borrowing.  Both must produce identical
 limbs on any valid input.
 """
 
-from bigsub import LIMB_BASE, SplitMix64, pad_to_length, parse_magnitude, subtract_sequential
+from bigsub import LIMB_BASE, parse_magnitude, subtract_sequential
+from bigsub.magnitude import pad_to_length
+from bigsub.rng import SplitMix64
 
 
 def subtract_rescan(a_limbs: list[int], b_limbs: list[int]) -> list[int]:

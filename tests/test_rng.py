@@ -1,4 +1,4 @@
-from bigsub import SplitMix64
+from bigsub.rng import SplitMix64
 
 # reference outputs computed directly from the recurrence
 SEED0_STREAM = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC]

@@ -8,12 +8,12 @@ from bigsub import (
     DecimalMagnitude,
     NegativeResult,
     OpCount,
-    borrow_from_left,
     format_magnitude,
     parse_magnitude,
     subtract_digitwise,
     subtract_sequential,
 )
+from bigsub.sequential import borrow_from_left
 
 B1 = LIMB_BASE - 1
 
