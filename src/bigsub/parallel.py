@@ -26,7 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BorrowExhausted, IterationLimitExceeded, NegativeResult
-from .magnitude import LIMB_BASE, DecimalMagnitude, canonical_limbs, compare_magnitude
+from .magnitude import (
+    LIMB_BASE,
+    DecimalMagnitude,
+    _magnitude_from_array,
+    compare_magnitude,
+    limb_array,
+)
 
 _BASE64 = np.int64(LIMB_BASE)
 
@@ -174,9 +180,9 @@ def subtract_parallel(
     if compare_magnitude(a, b) < 0:
         raise NegativeResult("minuend is smaller than subtrahend")
     n = a.limb_count
-    a_arr = np.array(a.limbs, dtype=np.int64)
+    a_arr = limb_array(a)
     b_arr = np.zeros(n, dtype=np.int64)
-    b_arr[n - b.limb_count :] = b.limbs
+    b_arr[n - b.limb_count :] = limb_array(b)
     result_limbs = np.empty(n, dtype=np.int64)
     board = BorrowBoard(n)
     chunks = partition_limbs(n, workers)
@@ -251,5 +257,10 @@ def subtract_parallel(
             raise failure
         finally:
             del failure
-    result = DecimalMagnitude(canonical_limbs(result_limbs.tolist()))
+    # strip leading zero limbs, keeping at least one
+    lead = 0
+    if result_limbs[0] == 0 and n > 1:
+        nonzero = result_limbs[:-1] != 0
+        lead = int(nonzero.argmax()) if nonzero.any() else n - 1
+    result = _magnitude_from_array(result_limbs[lead:])
     return result, IterationStats(pass_index, n, len(chunks))

@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +18,7 @@ from bigsub import (
     subtract_sequential,
 )
 from bigsub.errors import LengthUnderflow
-from bigsub.magnitude import pad_to_length
+from bigsub.magnitude import _magnitude_from_array, limb_array, pad_to_length
 from bigsub.rng import SplitMix64
 
 B1 = LIMB_BASE - 1
@@ -119,6 +122,81 @@ def test_magnitude_invariants_enforced():
 def test_inner_limb_out_of_range_is_named(limbs, bad):
     with pytest.raises(ValueError, match=f"limb {bad} outside"):
         DecimalMagnitude(limbs)
+
+
+@pytest.mark.parametrize("count", [3, 200])
+@pytest.mark.parametrize("bad", [LIMB_BASE, -1])
+def test_array_builder_names_an_inner_limb_out_of_range(count, bad):
+    # 3 limbs go through the constructor, 200 through the numpy reduction
+    limbs = [1] + [B1] * (count - 2) + [0]
+    limbs[count // 2] = bad
+    with pytest.raises(ValueError, match=f"limb {bad} outside"):
+        _magnitude_from_array(np.array(limbs, dtype=np.int64))
+
+
+def test_array_builder_rejects_what_the_constructor_rejects():
+    for limbs in ((), (0, 5), (LIMB_BASE,), (-1,)):
+        with pytest.raises(ValueError) as want:
+            DecimalMagnitude(limbs)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            _magnitude_from_array(np.array(limbs, dtype=np.int64))
+
+
+boundary_limbs = st.sampled_from([0, 1, 10**17, B1]) | st.integers(0, B1)
+
+
+@given(
+    st.lists(boundary_limbs, min_size=1, max_size=200).filter(
+        lambda limbs: limbs[0] != 0 or len(limbs) == 1
+    )
+)
+def test_array_builder_agrees_with_the_constructor_at_limb_boundaries(limbs):
+    built = _magnitude_from_array(np.array(limbs, dtype=np.int64))
+    given_ = DecimalMagnitude(limbs)
+    assert built == given_ and hash(built) == hash(given_)
+    assert type(built.limbs) is tuple
+    assert all(type(limb) is int for limb in built.limbs)
+    for m in (built, given_):
+        arr = limb_array(m)
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+        assert tuple(arr.tolist()) == m.limbs
+        assert limb_array(m) is arr
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+@pytest.mark.parametrize("digits", [400, 128 * LIMB_DIGITS + 5])
+def test_parsed_and_subtracted_limb_arrays_are_read_only(digits):
+    a = parse_magnitude("9" * digits)
+    b = parse_magnitude("1" + "0" * (digits - 1))
+    # from 128 limbs up, parse and subtract_parallel keep the array they built
+    assert (a._array is not None) == (a.limb_count >= 128)
+    difference = subtract_parallel(a, b, 2)[0]
+    assert (difference._array is not None) == (difference.limb_count >= 128)
+    for m in (a, b, difference, subtract_parallel(a, a, 3)[0]):
+        arr = limb_array(m)
+        assert not arr.flags.writeable
+        assert arr.tolist() == list(m.limbs)
+
+
+@pytest.mark.parametrize("count", [1, 2, 127, 128, 129, 255, 256, 1000])
+def test_format_paths_match_a_reference_at_every_lead_width(count):
+    inner = [0, 1, 10**17, B1]
+    rng = SplitMix64(count)
+    for width in range(1, LIMB_DIGITS + 1):
+        lead = 10 ** (width - 1) + int(rng.next_u64()) % (9 * 10 ** (width - 1))
+        limbs = [lead] + [
+            inner[i % 4] if i % 3 else int(rng.next_u64()) % LIMB_BASE for i in range(count - 1)
+        ]
+        want = ("%d" + "%018d" * (count - 1)) % tuple(limbs)
+        assert len(want) == width + LIMB_DIGITS * (count - 1)
+        # from the constructor, a magnitude renders with `%` below 256
+        # limbs and builds its array from 256 up; from the array builder,
+        # it renders the array it kept from 128 limbs up
+        built = _magnitude_from_array(np.array(limbs, dtype=np.int64))
+        for m in (DecimalMagnitude(limbs), built):
+            assert format_magnitude(m) == want
+            assert parse_magnitude(want) == m
 
 
 def test_limbs_are_a_tuple_of_python_ints():

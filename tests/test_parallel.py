@@ -223,6 +223,13 @@ def test_zero_and_identity():
     zero = parse_magnitude("0")
     assert subtract_parallel(a, a, 4)[0].limbs == (0,)
     assert subtract_parallel(a, zero, 4)[0].limbs == a.limbs
+    seven = parse_magnitude("7")
+    for w in range(1, 5):
+        for x in (seven, zero):
+            result, stats = subtract_parallel(x, x, w)
+            assert result.limbs == (0,)
+            assert str(result) == "0"
+            assert stats.iterations == 1
 
 
 def test_iteration_stats_invariant():
