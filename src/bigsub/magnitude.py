@@ -40,7 +40,10 @@ _LIMB_BASE_U64 = np.uint64(LIMB_BASE)
 class DecimalMagnitude:
     """Canonical unsigned integer: no leading zero limbs, zero is (0,).
 
-    Instances are immutable and safe to share across threads.
+    Instances are immutable and safe to share across threads.  A magnitude
+    the array builder made holds only its limb array until limbs is first
+    read; threads that race on that first read may each build the tuple,
+    the tuples are equal, and either one is kept.
     """
 
     limbs: tuple[int, ...]
@@ -52,16 +55,48 @@ class DecimalMagnitude:
     def __post_init__(self):
         # kept as given, a list would make the instance unhashable and
         # unequal to the same limbs in a tuple; tuple() of a tuple is itself
-        object.__setattr__(self, "limbs", tuple(self.limbs))
-        _check_lead_limb(self.limbs)
-        _check_limb_range(self.limbs)
+        limbs = tuple(self.limbs)
+        object.__setattr__(self, "limbs", limbs)
+        _check_lead_limb(limbs)
+        _check_limb_range(limbs)
+
+    def __reduce__(self):
+        # Rebuild a copy through a checked path: a copy of the kept array
+        # would otherwise come back writable and unchecked.
+        if self._array is None:
+            return DecimalMagnitude, (self.limbs,)
+        return _magnitude_from_array, (np.array(self._array),)
 
     @property
     def limb_count(self) -> int:
-        return len(self.limbs)
+        arr = self._array
+        return len(self.limbs) if arr is None else len(arr)
 
     def __str__(self) -> str:
         return format_magnitude(self)
+
+
+class _LimbsFromArray:
+    """DecimalMagnitude.limbs of a magnitude that holds only its array:
+    builds the tuple on first read and stores it on the instance, where
+    it shadows this descriptor from then on.
+
+    A non-data descriptor rather than __getattr__, which taxes every
+    attribute read: on sequential operations of 1-112 limbs, the
+    subtraction call read 3-4% slower than without either, and 2% with
+    this.  Reading limbs still costs more than with no class attribute of
+    that name, so hot paths read it once."""
+
+    def __get__(self, m, owner=None):
+        if m is None:
+            return self
+        limbs = tuple(m._array.tolist())
+        object.__setattr__(m, "limbs", limbs)
+        return limbs
+
+
+# set once the dataclass is built, which would take it for a default
+DecimalMagnitude.limbs = _LimbsFromArray()
 
 
 def _check_lead_limb(limbs: tuple[int, ...]) -> None:
@@ -82,21 +117,19 @@ def _magnitude_from_array(arr: np.ndarray) -> DecimalMagnitude:
     """Build a magnitude from a 1-D int64 limb array.
 
     Runs the same checks as the public constructor and raises the same
-    errors.  From _ARRAY_MIN_LIMBS limbs up the magnitude keeps the
-    array, made read-only; the caller must hold no other writable view
-    of it.
+    errors.  From _ARRAY_MIN_LIMBS limbs up the magnitude keeps only the
+    array, made read-only, and builds its limbs tuple on first read; the
+    caller must hold no other writable view of the array.
     """
-    limbs = tuple(arr.tolist())
-    if len(limbs) < _ARRAY_MIN_LIMBS:
-        return DecimalMagnitude(limbs)
-    _check_lead_limb(limbs)
+    if len(arr) < _ARRAY_MIN_LIMBS:
+        return DecimalMagnitude(arr.tolist())
+    _check_lead_limb(arr)
     # Seen as uint64, a negative limb is at least 2^63, so one reduction
     # checks both ends of the range; the tuple check names the limb.
     if arr.view(np.uint64).max() >= _LIMB_BASE_U64:
-        _check_limb_range(limbs)
+        _check_limb_range(tuple(arr.tolist()))
     arr.flags.writeable = False
     m = object.__new__(DecimalMagnitude)
-    object.__setattr__(m, "limbs", limbs)
     object.__setattr__(m, "_array", arr)
     return m
 
@@ -122,6 +155,16 @@ def canonical_limbs(limbs: list[int]) -> tuple[int, ...]:
     while k < last and limbs[k] == 0:
         k += 1
     return tuple(limbs[k:])
+
+
+def _canonical_array(arr: np.ndarray) -> np.ndarray:
+    """A view of a limb array without its leading zero limbs, keeping at
+    least one."""
+    n = len(arr)
+    if n == 1 or arr[0] != 0:
+        return arr
+    nonzero = arr[:-1] != 0
+    return arr[int(nonzero.argmax()) if nonzero.any() else n - 1 :]
 
 
 def parse_magnitude(s: str) -> DecimalMagnitude:
@@ -181,11 +224,22 @@ def compare_magnitude(a: DecimalMagnitude, b: DecimalMagnitude) -> int:
     Limb count decides first; equal counts fall back to lexicographic
     comparison of limbs, most significant first.
     """
-    if a.limb_count != b.limb_count:
-        return -1 if a.limb_count < b.limb_count else 1
-    if a.limbs == b.limbs:
+    na, nb = a.limb_count, b.limb_count
+    if na != nb:
+        return -1 if na < nb else 1
+    x, y = a._array, b._array
+    if x is not None and y is not None:
+        # the first differing limb decides; argmax finds it, or gives 0
+        # when there is none
+        differ = x != y
+        i = int(differ.argmax())
+        if not differ[i]:
+            return 0
+        return -1 if x[i] < y[i] else 1
+    x, y = a.limbs, b.limbs
+    if x == y:
         return 0
-    return -1 if a.limbs < b.limbs else 1
+    return -1 if x < y else 1
 
 
 def pad_to_length(m: DecimalMagnitude, n: int) -> list[int]:
@@ -194,6 +248,14 @@ def pad_to_length(m: DecimalMagnitude, n: int) -> list[int]:
     The output is generally not canonical; it exists so subtraction can
     run over aligned, equal-length limb sequences.
     """
-    if n < m.limb_count:
-        raise LengthUnderflow(f"cannot pad {m.limb_count} limbs down to {n}")
-    return [0] * (n - m.limb_count) + list(m.limbs)
+    count = m.limb_count
+    if n < count:
+        raise LengthUnderflow(f"cannot pad {count} limbs down to {n}")
+    return [0] * (n - count) + limb_list(m)
+
+
+def limb_list(m: DecimalMagnitude) -> list[int]:
+    """m's limbs as a new list of Python ints, read from the kept array
+    when m has one, so that the limbs tuple is not built."""
+    arr = m._array
+    return list(m.limbs) if arr is None else arr.tolist()

@@ -29,6 +29,7 @@ from .errors import BorrowExhausted, IterationLimitExceeded, NegativeResult
 from .magnitude import (
     LIMB_BASE,
     DecimalMagnitude,
+    _canonical_array,
     _magnitude_from_array,
     compare_magnitude,
     limb_array,
@@ -257,10 +258,5 @@ def subtract_parallel(
             raise failure
         finally:
             del failure
-    # strip leading zero limbs, keeping at least one
-    lead = 0
-    if result_limbs[0] == 0 and n > 1:
-        nonzero = result_limbs[:-1] != 0
-        lead = int(nonzero.argmax()) if nonzero.any() else n - 1
-    result = _magnitude_from_array(result_limbs[lead:])
+    result = _magnitude_from_array(_canonical_array(result_limbs))
     return result, IterationStats(pass_index, n, len(chunks))

@@ -1,3 +1,6 @@
+import copy
+import functools
+import pickle
 import re
 
 import numpy as np
@@ -17,6 +20,7 @@ from bigsub import (
     subtract_parallel,
     subtract_sequential,
 )
+from bigsub.bench import gen_operand
 from bigsub.errors import LengthUnderflow
 from bigsub.magnitude import _magnitude_from_array, limb_array, pad_to_length
 from bigsub.rng import SplitMix64
@@ -145,15 +149,27 @@ def test_array_builder_rejects_what_the_constructor_rejects():
 boundary_limbs = st.sampled_from([0, 1, 10**17, B1]) | st.integers(0, B1)
 
 
-@given(
-    st.lists(boundary_limbs, min_size=1, max_size=200).filter(
-        lambda limbs: limbs[0] != 0 or len(limbs) == 1
-    )
-)
+def limb_lists(low, high):
+    """Canonical limb lists of every length in [low, high]: the length is
+    drawn first, since st.lists alone seldom draws more than 30 items."""
+    return st.integers(low, high).flatmap(
+        lambda n: st.lists(boundary_limbs, min_size=n, max_size=n)
+    ).filter(lambda limbs: limbs[0] != 0 or len(limbs) == 1)
+
+
+@settings(deadline=None)
+@given(limb_lists(1, 200))
 def test_array_builder_agrees_with_the_constructor_at_limb_boundaries(limbs):
-    built = _magnitude_from_array(np.array(limbs, dtype=np.int64))
+    def build():
+        return _magnitude_from_array(np.array(limbs, dtype=np.int64))
+
     given_ = DecimalMagnitude(limbs)
-    assert built == given_ and hash(built) == hash(given_)
+    # each check runs on a fresh magnitude, before its limbs are first read
+    assert ("limbs" in build().__dict__) == (len(limbs) < 128)
+    assert build() == given_ and given_ == build()
+    assert hash(build()) == hash(given_)
+    assert repr(build()) == repr(given_)
+    built = build()
     assert type(built.limbs) is tuple
     assert all(type(limb) is int for limb in built.limbs)
     for m in (built, given_):
@@ -169,11 +185,12 @@ def test_array_builder_agrees_with_the_constructor_at_limb_boundaries(limbs):
 def test_parsed_and_subtracted_limb_arrays_are_read_only(digits):
     a = parse_magnitude("9" * digits)
     b = parse_magnitude("1" + "0" * (digits - 1))
-    # from 128 limbs up, parse and subtract_parallel keep the array they built
+    # from 128 limbs up, parse and both subtractions keep the array they built
     assert (a._array is not None) == (a.limb_count >= 128)
-    difference = subtract_parallel(a, b, 2)[0]
-    assert (difference._array is not None) == (difference.limb_count >= 128)
-    for m in (a, b, difference, subtract_parallel(a, a, 3)[0]):
+    differences = [subtract_parallel(a, b, 2)[0], subtract_sequential(a, b)]
+    for difference in differences:
+        assert (difference._array is not None) == (difference.limb_count >= 128)
+    for m in (a, b, *differences, subtract_parallel(a, a, 3)[0]):
         arr = limb_array(m)
         assert not arr.flags.writeable
         assert arr.tolist() == list(m.limbs)
@@ -200,11 +217,75 @@ def test_format_paths_match_a_reference_at_every_lead_width(count):
 
 
 def test_limbs_are_a_tuple_of_python_ints():
-    a = parse_magnitude("9" * (3 * LIMB_DIGITS + 5))
-    b = parse_magnitude("1" + "0" * (2 * LIMB_DIGITS))
-    for m in (a, b, subtract_sequential(a, b), subtract_parallel(a, b, 2)[0]):
+    # 4 limbs, then 130: below and above the size from which a parsed or
+    # subtracted magnitude builds its tuple from the kept array
+    for count in (4, 130):
+        a = parse_magnitude("9" * ((count - 1) * LIMB_DIGITS + 5))
+        b = parse_magnitude("1" + "0" * ((count - 2) * LIMB_DIGITS))
+        for m in (a, b, subtract_sequential(a, b), subtract_parallel(a, b, 2)[0]):
+            assert m.limb_count >= count - 1
+            assert type(m.limbs) is tuple
+            assert all(type(limb) is int for limb in m.limbs)
+
+
+def test_a_parallel_operation_never_builds_the_limbs_tuple():
+    rng = SplitMix64(8)
+    digits = 300 * LIMB_DIGITS
+    a = parse_magnitude("9" + gen_operand(digits - 1, rng))
+    b = parse_magnitude("8" + gen_operand(digits - 1, rng))
+    assert compare_magnitude(a, b) == 1
+    difference = subtract_parallel(a, b, 2)[0]
+    text = format_magnitude(difference)
+    assert difference.limb_count >= 300
+    for m in (a, b, difference):
+        assert "limbs" not in m.__dict__
+    for m in (a, b, difference):
         assert type(m.limbs) is tuple
         assert all(type(limb) is int for limb in m.limbs)
+        assert list(m.limbs) == limb_array(m).tolist()
+    assert text == format_magnitude(subtract_sequential(a, b))
+
+
+def _value(limbs):
+    return functools.reduce(lambda v, limb: v * LIMB_BASE + limb, limbs, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    limb_lists(128, 300),
+    st.sampled_from(["first", "middle", "last", "none"]),
+    boundary_limbs,
+    st.booleans(),
+    st.booleans(),
+)
+def test_compare_of_kept_arrays_matches_integer_order(limbs, where, new_limb, mixed, swap):
+    other = list(limbs)
+    if where != "none":
+        i = {"first": 0, "middle": len(limbs) // 2, "last": len(limbs) - 1}[where]
+        other[i] = max(new_limb, 1) if i == 0 else new_limb
+    x = _magnitude_from_array(np.array(limbs, dtype=np.int64))
+    # a mixed pair sets a constructor-built magnitude against a kept array
+    y = DecimalMagnitude(other) if mixed else _magnitude_from_array(np.array(other, dtype=np.int64))
+    if swap:
+        x, y = y, x
+    vx, vy = _value(limb_array(x).tolist()), _value(limb_array(y).tolist())
+    assert compare_magnitude(x, y) == (vx > vy) - (vx < vy)
+    if not mixed:
+        assert "limbs" not in x.__dict__ and "limbs" not in y.__dict__
+
+
+@pytest.mark.parametrize("digits", [40, 5000])
+def test_pickle_and_deepcopy_rebuild_a_checked_magnitude(digits):
+    m = parse_magnitude(gen_operand(digits, SplitMix64(digits)))
+    text = format_magnitude(m)
+    for dup in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
+        assert dup == m and hash(dup) == hash(m)
+        assert (dup._array is not None) == (digits == 5000)
+        arr = limb_array(dup)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[-1] = LIMB_BASE + 7
+        assert format_magnitude(dup) == text
 
 
 digit_strings = st.integers(min_value=0, max_value=10**200 - 1).map(str)
