@@ -9,7 +9,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import VerificationFailure
-from .magnitude import DecimalMagnitude, compare_magnitude, format_magnitude, parse_magnitude
+from .magnitude import DecimalMagnitude, format_magnitude, parse_magnitude
 from .oracle import subtract_digitwise
 from .parallel import subtract_parallel
 from .rng import SplitMix64
@@ -29,17 +29,16 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class BenchCase:
-    """One experiment row: operand lengths, repetitions, worker count, seed."""
+    """One experiment row: operand length, repetitions, worker count, seed."""
 
-    digits_a: int
-    digits_b: int
+    digits: int
     runs: int
     workers: int
     seed: int
 
     def __post_init__(self):
-        if self.digits_a < 1 or self.digits_b < 1:
-            raise ValueError("operand lengths must be positive")
+        if self.digits < 1:
+            raise ValueError("operand length must be positive")
         if self.runs < 1:
             raise ValueError("runs must be positive")
         if self.workers < 1:
@@ -104,7 +103,7 @@ def build_cases(
     drawn from a master stream so the whole suite is fixed by one seed."""
     master = SplitMix64(seed)
     return [
-        BenchCase(digits_a=d, digits_b=d, runs=runs, workers=workers, seed=master.next_u64())
+        BenchCase(digits=d, runs=runs, workers=workers, seed=master.next_u64())
         for d in digit_lengths
     ]
 
@@ -114,19 +113,14 @@ def run_bench(case: BenchCase, verify: bool = False, emit_hash: bool = False) ->
 
     With verify set, every run's result is checked against the
     digit-wise reference; a mismatch raises VerificationFailure naming
-    the offending seed and operand lengths.
+    the offending seed and operand length.
     """
-    rng = SplitMix64(case.seed)
-    a_text = gen_operand(case.digits_a, rng)
-    b_text = gen_operand(case.digits_b, rng)
+    a_text, b_text = gen_ordered_pair(case.digits, SplitMix64(case.seed))
     a = parse_magnitude(a_text)
     b = parse_magnitude(b_text)
-    if compare_magnitude(a, b) < 0:
-        a, b = b, a
     expected = None
     if verify:
-        expected = subtract_digitwise(format_magnitude(a), format_magnitude(b))
-    digits = max(case.digits_a, case.digits_b)
+        expected = subtract_digitwise(a_text, b_text)
     rows = []
 
     def check_and_hash(algo: str, run: int, result: DecimalMagnitude) -> str:
@@ -136,7 +130,7 @@ def run_bench(case: BenchCase, verify: bool = False, emit_hash: bool = False) ->
         if verify and text != expected:
             raise VerificationFailure(
                 f"{algo} run {run} disagrees with the reference "
-                f"(seed={case.seed}, digits_a={case.digits_a}, digits_b={case.digits_b})"
+                f"(seed={case.seed}, digits={case.digits})"
             )
         return fnv1a64_hex(text) if emit_hash else ""
 
@@ -145,7 +139,7 @@ def run_bench(case: BenchCase, verify: bool = False, emit_hash: bool = False) ->
         result = subtract_sequential(a, b)
         elapsed = time.perf_counter() - t0
         rows.append(
-            BenchRow("sequential", digits, 1, run, elapsed, 0, check_and_hash("sequential", run, result))
+            BenchRow("sequential", case.digits, 1, run, elapsed, 0, check_and_hash("sequential", run, result))
         )
     for run in range(1, case.runs + 1):
         t0 = time.perf_counter()
@@ -153,7 +147,7 @@ def run_bench(case: BenchCase, verify: bool = False, emit_hash: bool = False) ->
         elapsed = time.perf_counter() - t0
         rows.append(
             BenchRow(
-                "parallel", digits, case.workers, run, elapsed,
+                "parallel", case.digits, case.workers, run, elapsed,
                 stats.iterations, check_and_hash("parallel", run, result),
             )
         )

@@ -22,16 +22,16 @@ _DIGIT_WEIGHTS = 10 ** np.arange(LIMB_DIGITS - 1, -1, -1, dtype=np.int64)
 _DIGIT_GROUPS = np.frombuffer(
     "".join("%04d" % i for i in range(10_000)).encode("ascii"), dtype=np.uint32
 )
-# Limb count from which a magnitude is worked on as an int64 array
-# (measured on a 2-vCPU Xeon):
+# Limb count from which a magnitude holds its limbs as an int64 array,
+# however it is built (measured on a 2-vCPU Xeon):
 # - format_magnitude renders from the array.  A `%` format costs about
 #   0.13 µs a limb and almost nothing per call; the array path costs
 #   about 11 µs a call and 0.07 µs a limb, so they meet near 128 limbs.
-# - The array builder keeps the array.  Keeping it costs a numpy range
-#   check and a read-only flag, 2 µs a magnitude in a tight loop and more
-#   between other work, where the constructor's min and max cost about
-#   0.03 µs a limb; magnitudes of 64-112 limbs that kept it made a mixed
-#   parse, subtract and format loop 10% slower at the p90.
+# - Keeping the array costs a numpy range check and a read-only flag,
+#   2 µs a magnitude in a tight loop and more between other work, where
+#   the constructor's min and max cost about 0.03 µs a limb; magnitudes
+#   of 64-112 limbs that kept it made a mixed parse, subtract and format
+#   loop 10% slower at the p90.
 _ARRAY_MIN_LIMBS = 128
 _LIMB_BASE_U64 = np.uint64(LIMB_BASE)
 
@@ -40,16 +40,16 @@ _LIMB_BASE_U64 = np.uint64(LIMB_BASE)
 class DecimalMagnitude:
     """Canonical unsigned integer: no leading zero limbs, zero is (0,).
 
-    Instances are immutable and safe to share across threads.  A magnitude
-    the array builder made holds only its limb array until limbs is first
-    read; threads that race on that first read may each build the tuple,
-    the tuples are equal, and either one is kept.
+    Instances are immutable and safe to share across threads.  From
+    _ARRAY_MIN_LIMBS limbs up a magnitude holds its limbs as a read-only
+    int64 array; one the array builder made holds only that array until
+    limbs is first read.  Threads that race on that first read may each
+    build the tuple, the tuples are equal, and either one is kept.
     """
 
     limbs: tuple[int, ...]
-    # The same limbs as a read-only int64 array, kept by the array builder
-    # or by limb_array, else None.  Not a field: equality, hashing and
-    # repr see only limbs.
+    # The same limbs as a read-only int64 array from _ARRAY_MIN_LIMBS limbs
+    # up, else None.  Not a field: equality, hashing and repr see only limbs.
     _array = None
 
     def __post_init__(self):
@@ -59,13 +59,14 @@ class DecimalMagnitude:
         object.__setattr__(self, "limbs", limbs)
         _check_lead_limb(limbs)
         _check_limb_range(limbs)
+        if len(limbs) >= _ARRAY_MIN_LIMBS:
+            object.__setattr__(self, "_array", limb_array(self))
 
     def __reduce__(self):
-        # Rebuild a copy through a checked path: a copy of the kept array
-        # would otherwise come back writable and unchecked.
-        if self._array is None:
-            return DecimalMagnitude, (self.limbs,)
-        return _magnitude_from_array, (np.array(self._array),)
+        # Rebuild a copy through the checked constructor, which keeps an
+        # array of its own: a copy of the kept array would come back
+        # writable and unchecked.
+        return DecimalMagnitude, (self.limbs,)
 
     @property
     def limb_count(self) -> int:
@@ -134,17 +135,23 @@ def _magnitude_from_array(arr: np.ndarray) -> DecimalMagnitude:
     return m
 
 
-def limb_array(m: DecimalMagnitude) -> np.ndarray:
-    """m's limbs as a read-only int64 array, built once and kept.
+def _magnitude_from_list(limbs: list[int]) -> DecimalMagnitude:
+    """Build a magnitude from a limb list that may start with zero limbs.
+    From _ARRAY_MIN_LIMBS limbs up, fromiter builds the kept array: 1.9 ms
+    at 55,556 limbs on a 2-vCPU Xeon, against 2.5 ms for np.array."""
+    n = len(limbs)
+    if n < _ARRAY_MIN_LIMBS:
+        return DecimalMagnitude(canonical_limbs(limbs))
+    return _magnitude_from_array(_canonical_array(np.fromiter(limbs, np.int64, n)))
 
-    Threads that race on a magnitude's first call may each build an
-    array; they are equal, and either one is kept.
-    """
+
+def limb_array(m: DecimalMagnitude) -> np.ndarray:
+    """m's limbs as a read-only int64 array: the one m keeps from
+    _ARRAY_MIN_LIMBS limbs up, else a new one."""
     arr = m._array
     if arr is None:
         arr = np.array(m.limbs, dtype=np.int64)
         arr.flags.writeable = False
-        object.__setattr__(m, "_array", arr)
     return arr
 
 
@@ -198,17 +205,14 @@ def format_magnitude(m: DecimalMagnitude) -> str:
     zero-padded to 18 characters so concatenation is value-correct.
     """
     n = m.limb_count
-    # A magnitude that kept no array (one from the constructor) must build
-    # it first, about 0.03 µs a limb, which pays off only from about twice
-    # the crossover: at 128-200 limbs it made the format 6-24% slower.
-    if n < _ARRAY_MIN_LIMBS or (m._array is None and n < 2 * _ARRAY_MIN_LIMBS):
+    if n < _ARRAY_MIN_LIMBS:
         return ("%d" + "%018d" * (n - 1)) % m.limbs
     # Split every limb into 5 groups of 4 digits (the first group is
     # below 100), look each group's 4 characters up, and drop the first
     # group's 2 always-zero characters: 18 characters a limb.  The lead
     # limb is nonzero here, so stripping "0"s leaves it bare.
     groups = np.empty((n, 5), np.int64)
-    v = limb_array(m)
+    v = m._array
     for j in (4, 3, 2, 1):
         q = v // 10_000
         groups[:, j] = v - q * 10_000
@@ -227,19 +231,21 @@ def compare_magnitude(a: DecimalMagnitude, b: DecimalMagnitude) -> int:
     na, nb = a.limb_count, b.limb_count
     if na != nb:
         return -1 if na < nb else 1
+    if na < _ARRAY_MIN_LIMBS:
+        x, y = a.limbs, b.limbs
+        if x == y:
+            return 0
+        return -1 if x < y else 1
+    # the first differing limb decides: most often the lead limb, which
+    # spares the full scan; else argmax finds it, or gives 0 if none does
     x, y = a._array, b._array
-    if x is not None and y is not None:
-        # the first differing limb decides; argmax finds it, or gives 0
-        # when there is none
+    i = 0
+    if x[0] == y[0]:
         differ = x != y
         i = int(differ.argmax())
         if not differ[i]:
             return 0
-        return -1 if x[i] < y[i] else 1
-    x, y = a.limbs, b.limbs
-    if x == y:
-        return 0
-    return -1 if x < y else 1
+    return -1 if x[i] < y[i] else 1
 
 
 def pad_to_length(m: DecimalMagnitude, n: int) -> list[int]:
@@ -251,7 +257,9 @@ def pad_to_length(m: DecimalMagnitude, n: int) -> list[int]:
     count = m.limb_count
     if n < count:
         raise LengthUnderflow(f"cannot pad {count} limbs down to {n}")
-    return [0] * (n - count) + limb_list(m)
+    padded = limb_list(m)
+    padded[:0] = [0] * (n - count)
+    return padded
 
 
 def limb_list(m: DecimalMagnitude) -> list[int]:

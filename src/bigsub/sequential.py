@@ -8,16 +8,11 @@ one pass.  Transients therefore never exceed 2 * 10^18 - 1.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BorrowExhausted, NegativeResult
 from .magnitude import (
-    _ARRAY_MIN_LIMBS,
     LIMB_BASE,
     DecimalMagnitude,
-    _canonical_array,
-    _magnitude_from_array,
-    canonical_limbs,
+    _magnitude_from_list,
     compare_magnitude,
     limb_list,
     pad_to_length,
@@ -65,22 +60,14 @@ def subtract_sequential(
     n = a.limb_count
     work = limb_list(a)
     small = pad_to_length(b, n)
-    result = [0] * n
-    subs = 0
     borrows = 0
+    # limb i is final once subtracted: borrows only reach limbs left of it
     for i in range(n - 1, -1, -1):
         if work[i] < small[i]:
             borrow_from_left(work, i)
             borrows += 1
-        result[i] = work[i] - small[i]
-        subs += 1
+        work[i] -= small[i]
     if ops is not None:
-        ops.limb_subtractions += subs
+        ops.limb_subtractions += n
         ops.borrows += borrows
-    if n < _ARRAY_MIN_LIMBS:
-        return DecimalMagnitude(canonical_limbs(result))
-    # The builder checks the range with one numpy reduction, and keeps the
-    # array for a large format or a parallel call to read.  At 55,556 limbs
-    # on a 2-vCPU Xeon, fromiter builds it in 1.9 ms against 2.5 ms for
-    # np.array, and the strip on the array copies nothing.
-    return _magnitude_from_array(_canonical_array(np.fromiter(result, np.int64, n)))
+    return _magnitude_from_list(work)

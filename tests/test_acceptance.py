@@ -132,7 +132,7 @@ def scaling_rows():
     t0 = time.perf_counter()
     rows = []
     for digits in (100_000, 1_000_000):
-        case = BenchCase(digits_a=digits, digits_b=digits, runs=5, workers=4, seed=CORPUS_SEED + digits)
+        case = BenchCase(digits=digits, runs=5, workers=4, seed=CORPUS_SEED + digits)
         rows.extend(run_bench(case))
     return rows, time.perf_counter() - t0
 

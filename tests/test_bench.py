@@ -54,22 +54,22 @@ def test_build_cases_deterministic_with_distinct_seeds():
     cases = build_cases([100, 200], runs=3, workers=2, seed=11)
     assert cases == build_cases([100, 200], runs=3, workers=2, seed=11)
     assert cases[0].seed != cases[1].seed
-    assert [c.digits_a for c in cases] == [100, 200]
+    assert [c.digits for c in cases] == [100, 200]
 
 
 def test_case_validation():
     with pytest.raises(ValueError):
-        BenchCase(0, 5, 1, 1, 1)
+        BenchCase(0, 1, 1, 1)
     with pytest.raises(ValueError):
-        BenchCase(5, 5, 0, 1, 1)
+        BenchCase(5, 0, 1, 1)
     with pytest.raises(ValueError):
-        BenchCase(5, 5, 1, 0, 1)
+        BenchCase(5, 1, 0, 1)
     with pytest.raises(ValueError):
-        BenchCase(5, 5, 1, 1, 2**64)
+        BenchCase(5, 1, 1, 2**64)
 
 
 def test_run_bench_rows():
-    case = BenchCase(digits_a=500, digits_b=500, runs=5, workers=3, seed=77)
+    case = BenchCase(digits=500, runs=5, workers=3, seed=77)
     rows = run_bench(case, verify=True, emit_hash=True)
     assert len(rows) == 10
     seq = [r for r in rows if r.algo == "sequential"]
@@ -84,7 +84,7 @@ def test_run_bench_rows():
 
 
 def test_run_bench_without_hash_leaves_column_empty():
-    rows = run_bench(BenchCase(40, 30, 1, 2, 5))
+    rows = run_bench(BenchCase(40, 1, 2, 5))
     assert all(r.result_hash == "" for r in rows)
     assert all(r.digits == 40 for r in rows)
 
@@ -95,13 +95,13 @@ def test_run_bench_verify_catches_bad_results(monkeypatch):
 
     monkeypatch.setattr(bench, "subtract_sequential", broken)
     with pytest.raises(VerificationFailure) as err:
-        run_bench(BenchCase(20, 20, 1, 1, 123), verify=True)
+        run_bench(BenchCase(20, 1, 1, 123), verify=True)
     assert "seed=123" in str(err.value)
-    assert "digits_a=20" in str(err.value)
+    assert "digits=20" in str(err.value)
 
 
 def test_csv_shape():
-    rows = run_bench(BenchCase(100, 100, 2, 2, 9), emit_hash=True)
+    rows = run_bench(BenchCase(100, 2, 2, 9), emit_hash=True)
     text = rows_to_csv(rows)
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER == "algo,digits,workers,run,seconds,iterations,result_hash"

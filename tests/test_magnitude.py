@@ -157,6 +157,11 @@ def limb_lists(low, high):
     ).filter(lambda limbs: limbs[0] != 0 or len(limbs) == 1)
 
 
+def assert_storage_by_size(m):
+    # the limb count alone decides whether a magnitude keeps an array
+    assert (m._array is not None) == (m.limb_count >= 128)
+
+
 @settings(deadline=None)
 @given(limb_lists(1, 200))
 def test_array_builder_agrees_with_the_constructor_at_limb_boundaries(limbs):
@@ -173,24 +178,31 @@ def test_array_builder_agrees_with_the_constructor_at_limb_boundaries(limbs):
     assert type(built.limbs) is tuple
     assert all(type(limb) is int for limb in built.limbs)
     for m in (built, given_):
+        assert_storage_by_size(m)
         arr = limb_array(m)
         assert arr.dtype == np.int64 and not arr.flags.writeable
         assert tuple(arr.tolist()) == m.limbs
-        assert limb_array(m) is arr
+        if len(limbs) >= 128:
+            assert limb_array(m) is arr
         with pytest.raises(ValueError):
             arr[0] = 1
 
 
-@pytest.mark.parametrize("digits", [400, 128 * LIMB_DIGITS + 5])
+@pytest.mark.parametrize("digits", [400, 127 * LIMB_DIGITS, 127 * LIMB_DIGITS + 1, 128 * LIMB_DIGITS + 5])
 def test_parsed_and_subtracted_limb_arrays_are_read_only(digits):
     a = parse_magnitude("9" * digits)
     b = parse_magnitude("1" + "0" * (digits - 1))
-    # from 128 limbs up, parse and both subtractions keep the array they built
-    assert (a._array is not None) == (a.limb_count >= 128)
-    differences = [subtract_parallel(a, b, 2)[0], subtract_sequential(a, b)]
-    for difference in differences:
-        assert (difference._array is not None) == (difference.limb_count >= 128)
-    for m in (a, b, *differences, subtract_parallel(a, a, 3)[0]):
+    # a - c has one digit fewer than a, so from 128-limb operands the
+    # subtractions strip their result to 127 limbs
+    c = parse_magnitude("9" + "0" * (digits - 1))
+    made = [a, b, c]
+    for x, y in ((a, b), (a, c), (a, a)):
+        made += [subtract_parallel(x, y, 3)[0], subtract_sequential(x, y)]
+    assert made[5].limb_count == -(-(digits - 1) // LIMB_DIGITS)
+    limbs = list(a.limbs)
+    made += [DecimalMagnitude(limbs), _magnitude_from_array(np.array(limbs, dtype=np.int64))]
+    for m in made:
+        assert_storage_by_size(m)
         arr = limb_array(m)
         assert not arr.flags.writeable
         assert arr.tolist() == list(m.limbs)
@@ -207,9 +219,8 @@ def test_format_paths_match_a_reference_at_every_lead_width(count):
         ]
         want = ("%d" + "%018d" * (count - 1)) % tuple(limbs)
         assert len(want) == width + LIMB_DIGITS * (count - 1)
-        # from the constructor, a magnitude renders with `%` below 256
-        # limbs and builds its array from 256 up; from the array builder,
-        # it renders the array it kept from 128 limbs up
+        # from either builder, a magnitude renders with `%` below 128
+        # limbs and renders the array it kept from 128 limbs up
         built = _magnitude_from_array(np.array(limbs, dtype=np.int64))
         for m in (DecimalMagnitude(limbs), built):
             assert format_magnitude(m) == want
@@ -264,7 +275,8 @@ def test_compare_of_kept_arrays_matches_integer_order(limbs, where, new_limb, mi
         i = {"first": 0, "middle": len(limbs) // 2, "last": len(limbs) - 1}[where]
         other[i] = max(new_limb, 1) if i == 0 else new_limb
     x = _magnitude_from_array(np.array(limbs, dtype=np.int64))
-    # a mixed pair sets a constructor-built magnitude against a kept array
+    # a mixed pair sets a constructor-built magnitude, which holds its
+    # tuple too, against one that holds only its array
     y = DecimalMagnitude(other) if mixed else _magnitude_from_array(np.array(other, dtype=np.int64))
     if swap:
         x, y = y, x
@@ -274,13 +286,14 @@ def test_compare_of_kept_arrays_matches_integer_order(limbs, where, new_limb, mi
         assert "limbs" not in x.__dict__ and "limbs" not in y.__dict__
 
 
-@pytest.mark.parametrize("digits", [40, 5000])
+@pytest.mark.parametrize("digits", [40, 127 * LIMB_DIGITS, 127 * LIMB_DIGITS + 1, 5000])
 def test_pickle_and_deepcopy_rebuild_a_checked_magnitude(digits):
     m = parse_magnitude(gen_operand(digits, SplitMix64(digits)))
     text = format_magnitude(m)
     for dup in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
         assert dup == m and hash(dup) == hash(m)
-        assert (dup._array is not None) == (digits == 5000)
+        assert dup.limb_count == m.limb_count
+        assert_storage_by_size(dup)
         arr = limb_array(dup)
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
