@@ -1,13 +1,14 @@
 """Big-integer decimal subtraction over base-10^18 limbs.
 
 Two interchangeable algorithms: a single-worker left-scan subtraction
-and a multi-worker speculative-borrow scheme that resolves borrows over
-synchronized passes.  A digit-wise reference implementation and a
+and a multi-worker speculative-borrow scheme, whose chunks subtract in
+threads of their own and whose borrows are then resolved over
+double-buffered passes.  A digit-wise reference implementation and a
 benchmark CLI round out the package.
 
 The top level holds what a library caller needs: the codec, the three
 algorithms, their result types and the errors they raise.  The kernel
-pieces of the worker pool stay in `bigsub.parallel`.
+pieces of the chunked passes stay in `bigsub.parallel`.
 """
 
 from .errors import (

@@ -65,10 +65,15 @@ def gen_operand(digits: int, rng: SplitMix64) -> str:
 
     The leading character is '1'-'9' (drawn as 1 + output mod 9) unless
     a single digit was asked for, where '0'-'9' (output mod 10) applies.
+    A length too long to hold in memory raises MemoryError.
     """
     if digits < 1:
         raise ValueError("digits must be positive")
-    outs = rng.next_block(digits)
+    try:
+        outs = rng.next_block(digits)
+    except ValueError as exc:
+        # numpy refuses an array this long before allocating anything
+        raise MemoryError(f"cannot generate a {digits}-digit operand: {exc}") from None
     chars = (outs % 10).astype("uint8")
     chars += ord("0")
     if digits > 1:

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 input or usage errors, 2 negative result,
 import argparse
 import statistics
 import sys
+from contextlib import nullcontext
 
 from .bench import (
     DEFAULT_DIGITS,
@@ -112,20 +113,27 @@ def _cmd_bench(args) -> int:
         print("error: --digits wants a comma-separated list of positive integers", file=sys.stderr)
         return EXIT_INPUT
     cases = build_cases(digit_lengths, runs=args.runs, workers=args.workers, seed=args.seed)
-    rows = []
+    # Open the CSV file before timing anything, so a path that cannot be
+    # written fails at once rather than after the whole suite.
     try:
-        for case in cases:
-            rows.extend(run_bench(case, verify=args.verify, emit_hash=args.emit_hash))
-    except VerificationFailure as exc:
+        out = open(args.csv, "w", encoding="ascii", newline="") if args.csv else nullcontext(sys.stdout)
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    csv_text = rows_to_csv(rows)
+        return EXIT_INPUT
+    with out as fh:
+        rows = []
+        try:
+            for case in cases:
+                rows.extend(run_bench(case, verify=args.verify, emit_hash=args.emit_hash))
+        except VerificationFailure as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VERIFY
+        except MemoryError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        fh.write(rows_to_csv(rows))
     if args.csv:
-        with open(args.csv, "w", encoding="ascii", newline="") as fh:
-            fh.write(csv_text)
         print(f"wrote {len(rows)} rows to {args.csv}", file=sys.stderr)
-    else:
-        sys.stdout.write(csv_text)
     print(_bench_summary(rows), file=sys.stderr)
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Reference subtraction and addition, one base-10 character at a time.
+"""Reference subtraction, one base-10 character at a time.
 
 Exists purely to validate the limb algorithms: it shares no code or
 representation with them, so a limb-slicing bug cannot hide in both.
@@ -47,24 +47,3 @@ def subtract_digitwise(a: str, b: str) -> str:
         raise NegativeResult("minuend is smaller than subtrahend")
     return _strip(out)
 
-
-def add_digitwise(a: str, b: str) -> str:
-    """Schoolbook right-to-left addition with single-digit carries."""
-    _check_digits(a)
-    _check_digits(b)
-    la, lb = len(a), len(b)
-    out: list[int] = []
-    carry = 0
-    for k in range(max(la, lb)):
-        da = ord(a[la - 1 - k]) - _ZERO if k < la else 0
-        db = ord(b[lb - 1 - k]) - _ZERO if k < lb else 0
-        d = da + db + carry
-        if d >= 10:
-            d -= 10
-            carry = 1
-        else:
-            carry = 0
-        out.append(d)
-    if carry:
-        out.append(1)
-    return _strip(out)

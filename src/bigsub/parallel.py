@@ -1,23 +1,17 @@
 """Multi-worker subtraction with speculative borrows.
 
-Each worker owns a fixed contiguous limb range.  In the first pass every
-worker subtracts its limbs; where a limb would underflow it speculates
-that a borrow is available, corrects the limb by +10^18, and flags the
-next more significant limb on a shared borrow board.  Later passes
-consume flagged borrows, possibly flagging new ones, until the board is
-clean.
+The limbs are split into contiguous chunks, one per worker.  In the
+initial pass each chunk, in a thread of its own, subtracts its limbs;
+where a limb would underflow it speculates that a borrow is available,
+corrects the limb by +10^18, and flags the next more significant limb on
+a shared borrow board.  Resolution passes, which touch only flagged
+limbs, then run chunk after chunk in the calling thread, consuming the
+flagged borrows and possibly flagging new ones, until the board is clean.
 
-The board is double-buffered: workers read the flags produced by the
-previous pass and write flags for the next one, so every pass is a pure
-function of the pass before it and the outcome is independent of worker
-count.  Boards swap at a full barrier, where a single coordinator also
-decides termination.  Result limbs and write-board cells are each
-written by at most one worker per pass.
-
-Any failure breaks the barrier: a worker that raises aborts it, the
-coordinator raises IterationLimitExceeded through it, and a worker thread
-that fails to start makes the caller abort it, so no worker stays
-parked.  The caller re-raises the failure once every worker has stopped.
+The board is double-buffered: a pass reads the flags the previous pass
+wrote and writes flags for the next one, so the outcome is independent
+of the chunk count and of the order chunks run in.  Result limbs and
+write-board cells are each written by one chunk per pass.
 """
 
 import threading
@@ -49,7 +43,7 @@ class ChunkAssignment:
 
 @dataclass(frozen=True)
 class IterationStats:
-    """Synchronized passes executed, plus run geometry.
+    """Passes executed, plus run geometry.
 
     iterations counts every pass including the initial subtraction pass,
     so borrow resolution took iterations - 1 extra sweeps.
@@ -70,7 +64,7 @@ class BorrowBoard:
     """Double-buffered per-limb borrow flags.
 
     `read` holds flags produced by the previous pass, `write` collects
-    flags for the next one.  Only the barrier coordinator may swap.
+    flags for the next one.  Swap only once every chunk has finished a pass.
     """
 
     def __init__(self, limb_count: int):
@@ -168,13 +162,14 @@ def subtract_parallel(
     b: DecimalMagnitude,
     workers: int,
 ) -> tuple[DecimalMagnitude, IterationStats]:
-    """Compute a - b with a pool of workers; requires a >= b.
+    """Compute a - b over `workers` limb chunks; requires a >= b.
 
     Returns the difference (bit-identical to subtract_sequential for any
-    worker count) and the pass statistics.  The pool is created once per
-    call and reused across passes; total passes are hard-capped at the
-    limb count, beyond which IterationLimitExceeded signals corruption.
-    Any exception raised in a worker is re-raised here.
+    worker count) and the pass statistics.  Each chunk's initial pass
+    runs in a thread of its own, and the first exception raised there is
+    re-raised here.  The resolution passes run in the calling thread;
+    total passes are hard-capped at the limb count, beyond which
+    IterationLimitExceeded signals corruption.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
@@ -187,46 +182,13 @@ def subtract_parallel(
     result_limbs = np.empty(n, dtype=np.int64)
     board = BorrowBoard(n)
     chunks = partition_limbs(n, workers)
-    pass_index = 1
-    done = False
-    error: BaseException | None = None
-
-    def coordinate() -> None:
-        # Runs in exactly one thread per barrier trip, while all workers
-        # are parked.  Raising here breaks the barrier, which releases
-        # every parked worker with BrokenBarrierError.
-        nonlocal pass_index, done
-        if not has_pending_borrows(board.write):
-            done = True
-        elif pass_index >= n:
-            raise IterationLimitExceeded(
-                f"borrows still pending after {pass_index} passes over {n} limbs"
-            )
-        else:
-            board.swap_and_reset()
-            pass_index += 1
-
-    # Nothing the barrier's action reaches refers back to the barrier, so
-    # the call's arrays are freed by reference counting when it returns.
-    barrier = threading.Barrier(len(chunks), action=coordinate)
+    errors: list[BaseException] = []
 
     def work(chunk: ChunkAssignment) -> None:
-        nonlocal error
         try:
-            while not done:
-                if pass_index == 1:
-                    initial_pass(chunk, a_arr, b_arr, result_limbs, board.write)
-                else:
-                    borrow_pass(chunk, result_limbs, board.read, board.write)
-                barrier.wait()
-        except threading.BrokenBarrierError:
-            return
+            initial_pass(chunk, a_arr, b_arr, result_limbs, board.write)
         except BaseException as exc:
-            # Workers failing in the same pass may race here; whichever
-            # error is kept, it is a real one.
-            if error is None:
-                error = exc
-            barrier.abort()
+            errors.append(exc)
 
     pool = [
         threading.Thread(target=work, args=(chunk,), name=f"limb-{chunk.worker_id}")
@@ -238,25 +200,33 @@ def subtract_parallel(
             t.start()
             started += 1
     except BaseException:
-        # The barrier can never fill, so release the workers parked on it.
-        # A worker error kept meanwhile would close a cycle through its
-        # traceback, and the start failure is the one to report.
-        barrier.abort()
+        # The start failure is the one to report.  A worker error kept
+        # meanwhile would close a cycle through its traceback.
         for t in pool[:started]:
             t.join()
-        error = None
+        errors.clear()
         raise
     for t in pool:
         t.join()
-    if error is not None:
-        # The error's traceback reaches work's frame and through it the
-        # `error` cell, and once raised here, this frame too: drop both
-        # references so a failed call frees its arrays without the cyclic
-        # collector.
-        failure, error = error, None
+    if errors:
+        # An error's traceback reaches work's frame and through it the
+        # `errors` cell, and once raised here, this frame too: drop both
+        # references so a failed call frees its arrays at once.
+        failure = errors[0]
+        errors.clear()
         try:
             raise failure
         finally:
             del failure
+    passes = 1
+    while has_pending_borrows(board.write):
+        if passes >= n:
+            raise IterationLimitExceeded(
+                f"borrows still pending after {passes} passes over {n} limbs"
+            )
+        board.swap_and_reset()
+        passes += 1
+        for chunk in chunks:
+            borrow_pass(chunk, result_limbs, board.read, board.write)
     result = _magnitude_from_array(_canonical_array(result_limbs))
-    return result, IterationStats(pass_index, n, len(chunks))
+    return result, IterationStats(passes, n, len(chunks))

@@ -76,13 +76,21 @@ def test_usage_error_exit_1(capsys):
         ["bench", "--workers", "0", "--digits", "100"],
         ["sub", "--a", "5", "--b", "3", "--parallel", "--workers", "0"],
         ["sub", "--a", "@{non_ascii}", "--b", "1"],
+        ["bench", "--digits", "100", "--csv", "{tmp}/no-such-dir/x.csv"],
+        ["bench", "--digits", "100", "--csv", "{tmp}"],
+        # numpy refuses this length before allocating; never test lengths
+        # it would try to allocate
+        ["bench", "--digits", "100000000000000000000000"],
     ],
-    ids=["bench-runs-0", "bench-workers-0", "sub-parallel-workers-0", "sub-non-ascii-file"],
+    ids=[
+        "bench-runs-0", "bench-workers-0", "sub-parallel-workers-0", "sub-non-ascii-file",
+        "bench-csv-missing-dir", "bench-csv-is-a-directory", "bench-digits-too-long",
+    ],
 )
 def test_bad_input_is_one_line_exit_1(argv, tmp_path, capsys):
     non_ascii = tmp_path / "bad.txt"
     non_ascii.write_bytes(b"\xff\xfe")
-    code, _, err = run(capsys, *(a.format(non_ascii=non_ascii) for a in argv))
+    code, _, err = run(capsys, *(a.format(non_ascii=non_ascii, tmp=tmp_path) for a in argv))
     assert code == 1
     assert err.count("error:") == 1
     assert "Traceback" not in err

@@ -359,9 +359,9 @@ def test_base_exception_in_one_worker_cannot_hang_the_pool(monkeypatch):
 
 @pytest.mark.parametrize("worker_fails", [False, True])
 def test_failed_thread_start_releases_the_started_workers(monkeypatch, worker_fails):
-    # a worker thread that cannot start leaves the barrier short of parties:
-    # the started workers must be released and joined, and the start
-    # failure reported, also when a started worker failed meanwhile
+    # a worker thread that cannot start: the started workers must be
+    # joined, and the start failure reported, also when a started worker
+    # failed meanwhile
     import bigsub.parallel as par_mod
 
     real_start = threading.Thread.start
@@ -402,6 +402,35 @@ def test_failed_thread_start_releases_the_started_workers(monkeypatch, worker_fa
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_initial_passes_run_in_chunk_threads_and_borrow_passes_in_the_caller(monkeypatch):
+    import bigsub.parallel as par_mod
+
+    real_initial_pass, real_borrow_pass = par_mod.initial_pass, par_mod.borrow_pass
+    seen = []
+
+    def recording_initial_pass(chunk, *args):
+        seen.append(("initial", chunk.worker_id, threading.current_thread().name))
+        real_initial_pass(chunk, *args)
+
+    def recording_borrow_pass(chunk, *args):
+        seen.append(("borrow", chunk.worker_id, threading.current_thread().name))
+        real_borrow_pass(chunk, *args)
+
+    monkeypatch.setattr(par_mod, "initial_pass", recording_initial_pass)
+    monkeypatch.setattr(par_mod, "borrow_pass", recording_borrow_pass)
+    caller = threading.current_thread().name
+    a, b = parse_magnitude("1" + "0" * 90), parse_magnitude("1")  # a 6-limb ripple
+    for w in (1, 2, 4):
+        seen.clear()
+        result, stats = subtract_parallel(a, b, w)
+        assert stats.iterations == 6 and result.limbs == subtract_sequential(a, b).limbs
+        # every initial pass ends before the first borrow pass starts
+        assert [kind for kind, _, _ in seen] == ["initial"] * w + ["borrow"] * (5 * w)
+        initial = sorted((worker, name) for kind, worker, name in seen if kind == "initial")
+        assert initial == [(k, f"limb-{k}") for k in range(w)]
+        assert {name for kind, _, name in seen if kind == "borrow"} == {caller}
 
 
 def test_limb_range_holds_after_every_pass():
