@@ -56,11 +56,8 @@ class DecimalMagnitude:
         # kept as given, a list would make the instance unhashable and
         # unequal to the same limbs in a tuple; tuple() of a tuple is itself
         limbs = tuple(self.limbs)
-        object.__setattr__(self, "limbs", limbs)
-        _check_lead_limb(limbs)
-        _check_limb_range(limbs)
-        if len(limbs) >= _ARRAY_MIN_LIMBS:
-            object.__setattr__(self, "_array", limb_array(self))
+        _check_limb_types(limbs)
+        _set_limbs(self, limbs)
 
     def __reduce__(self):
         # Rebuild a copy through the checked constructor, which keeps an
@@ -100,6 +97,35 @@ class _LimbsFromArray:
 DecimalMagnitude.limbs = _LimbsFromArray()
 
 
+def _set_limbs(m: DecimalMagnitude, limbs: tuple[int, ...]) -> None:
+    """Store int limbs on a magnitude being built, after the checks every
+    builder runs, and keep their array from _ARRAY_MIN_LIMBS limbs up."""
+    object.__setattr__(m, "limbs", limbs)
+    _check_lead_limb(limbs)
+    _check_limb_range(limbs)
+    if len(limbs) >= _ARRAY_MIN_LIMBS:
+        object.__setattr__(m, "_array", limb_array(m))
+
+
+def _magnitude_from_ints(limbs: list[int] | tuple[int, ...]) -> DecimalMagnitude:
+    """DecimalMagnitude(limbs) for limbs that tolist or int arithmetic
+    made, without the constructor's type check: at about 0.03 µs a limb,
+    it made a small-many-like loop of parses, sequential subtractions
+    and formats 12% slower on a 2-vCPU Xeon."""
+    m = object.__new__(DecimalMagnitude)
+    _set_limbs(m, tuple(limbs))
+    return m
+
+
+def _check_limb_types(limbs: tuple) -> None:
+    # A float, Decimal or numpy scalar limb would pass the range check and
+    # then be truncated, or kept as it is beside a truncated array copy.
+    # int.__instancecheck__ is isinstance(limb, int) as a C call, for map.
+    if not all(map(int.__instancecheck__, limbs)):
+        pos = next(i for i, limb in enumerate(limbs) if not isinstance(limb, int))
+        raise TypeError(f"limb {pos} is a {type(limbs[pos]).__name__}, not an int")
+
+
 def _check_lead_limb(limbs: tuple[int, ...]) -> None:
     if len(limbs) == 0:
         raise ValueError("magnitude needs at least one limb")
@@ -123,7 +149,7 @@ def _magnitude_from_array(arr: np.ndarray) -> DecimalMagnitude:
     caller must hold no other writable view of the array.
     """
     if len(arr) < _ARRAY_MIN_LIMBS:
-        return DecimalMagnitude(arr.tolist())
+        return _magnitude_from_ints(arr.tolist())
     _check_lead_limb(arr)
     # Seen as uint64, a negative limb is at least 2^63, so one reduction
     # checks both ends of the range; the tuple check names the limb.
@@ -141,7 +167,7 @@ def _magnitude_from_list(limbs: list[int]) -> DecimalMagnitude:
     at 55,556 limbs on a 2-vCPU Xeon, against 2.5 ms for np.array."""
     n = len(limbs)
     if n < _ARRAY_MIN_LIMBS:
-        return DecimalMagnitude(canonical_limbs(limbs))
+        return _magnitude_from_ints(canonical_limbs(limbs))
     return _magnitude_from_array(_canonical_array(np.fromiter(limbs, np.int64, n)))
 
 
@@ -165,13 +191,14 @@ def canonical_limbs(limbs: list[int]) -> tuple[int, ...]:
 
 
 def _canonical_array(arr: np.ndarray) -> np.ndarray:
-    """A view of a limb array without its leading zero limbs, keeping at
-    least one."""
+    """A limb array without its leading zero limbs, keeping at least one:
+    arr itself if it has none, else a copy, so that a short result does
+    not keep the stripped limbs alive."""
     n = len(arr)
     if n == 1 or arr[0] != 0:
         return arr
     nonzero = arr[:-1] != 0
-    return arr[int(nonzero.argmax()) if nonzero.any() else n - 1 :]
+    return arr[int(nonzero.argmax()) if nonzero.any() else n - 1 :].copy()
 
 
 def parse_magnitude(s: str) -> DecimalMagnitude:

@@ -4,9 +4,11 @@ The limbs are split into contiguous chunks, one per worker.  In the
 initial pass each chunk, in a thread of its own, subtracts its limbs;
 where a limb would underflow it speculates that a borrow is available,
 corrects the limb by +10^18, and flags the next more significant limb on
-a shared borrow board.  Resolution passes, which touch only flagged
-limbs, then run chunk after chunk in the calling thread, consuming the
-flagged borrows and possibly flagging new ones, until the board is clean.
+a shared borrow board.  Resolution passes then run chunk after chunk in
+the calling thread, consuming the flagged borrows and possibly flagging
+new ones, until the board is clean.  A pass changes only flagged limbs,
+yet sweeps the whole board three times: in has_pending_borrows, in
+swap_and_reset, and as each chunk scans its flags.
 
 The board is double-buffered: a pass reads the flags the previous pass
 wrote and writes flags for the next one, so the outcome is independent
@@ -30,15 +32,6 @@ from .magnitude import (
 )
 
 _BASE64 = np.int64(LIMB_BASE)
-
-
-@dataclass(frozen=True)
-class ChunkAssignment:
-    """Contiguous half-open limb range [start, stop) owned by one worker."""
-
-    worker_id: int
-    start: int
-    stop: int
 
 
 @dataclass(frozen=True)
@@ -81,7 +74,7 @@ def has_pending_borrows(flags) -> bool:
     return bool(np.any(flags))
 
 
-def partition_limbs(limb_count: int, workers: int) -> list[ChunkAssignment]:
+def partition_limbs(limb_count: int, workers: int) -> list[range]:
     """Split [0, limb_count) into contiguous chunks whose sizes differ by <= 1.
 
     The remainder goes to the earlier chunks.  More workers than limbs
@@ -93,17 +86,22 @@ def partition_limbs(limb_count: int, workers: int) -> list[ChunkAssignment]:
         raise ValueError("workers must be positive")
     workers = min(workers, limb_count)
     base, extra = divmod(limb_count, workers)
-    chunks = []
-    start = 0
-    for w in range(workers):
-        stop = start + base + (1 if w < extra else 0)
-        chunks.append(ChunkAssignment(w, start, stop))
-        start = stop
-    return chunks
+    bounds = [w * base + min(w, extra) for w in range(workers + 1)]
+    return [range(s, e) for s, e in zip(bounds, bounds[1:])]
+
+
+def _lend(out: np.ndarray, start: int, under: np.ndarray, write_board: np.ndarray) -> None:
+    """Add 10^18 to the limbs of chunk `out`, which starts at limb `start`,
+    at the ascending offsets `under`, and flag their left neighbours."""
+    if under.size:
+        if start == 0 and under[0] == 0:
+            raise BorrowExhausted(0)
+        out[under] += _BASE64
+        write_board[start + under - 1] = 1
 
 
 def initial_pass(
-    chunk: ChunkAssignment,
+    chunk: range,
     a_limbs: np.ndarray,
     b_limbs: np.ndarray,
     result_limbs: np.ndarray,
@@ -116,20 +114,13 @@ def initial_pass(
     raises BorrowExhausted.
     """
     s, e = chunk.start, chunk.stop
-    a = a_limbs[s:e]
-    b = b_limbs[s:e]
     out = result_limbs[s:e]
-    np.subtract(a, b, out=out)
-    under = np.flatnonzero(a < b)
-    if under.size:
-        if s == 0 and under[0] == 0:
-            raise BorrowExhausted(0)
-        out[under] += _BASE64
-        write_board[s + under - 1] = 1
+    np.subtract(a_limbs[s:e], b_limbs[s:e], out=out)
+    _lend(out, s, (out < 0).nonzero()[0], write_board)
 
 
 def borrow_pass(
-    chunk: ChunkAssignment,
+    chunk: range,
     result_limbs: np.ndarray,
     read_board: np.ndarray,
     write_board: np.ndarray,
@@ -137,24 +128,15 @@ def borrow_pass(
     """Resolution pass over one chunk: apply the borrows flagged last pass.
 
     A flagged limb is decremented; a flagged zero limb becomes 10^18 - 1
-    and passes the borrow further left on the write board.  Unflagged
-    limbs are untouched, so a chunk with a clean read board does no limb
-    work at all.
+    and passes the borrow further left, or raises BorrowExhausted at limb
+    0.  Unflagged limbs are untouched.
     """
     s, e = chunk.start, chunk.stop
-    flags = read_board[s:e]
-    if not flags.any():
-        return
-    out = result_limbs[s:e]
-    hits = np.flatnonzero(flags)
-    zero = out[hits] == 0
-    out[hits[~zero]] -= 1
-    drained = hits[zero]
-    if drained.size:
-        if s == 0 and drained[0] == 0:
-            raise BorrowExhausted(0)
-        out[drained] = LIMB_BASE - 1
-        write_board[s + drained - 1] = 1
+    hits = read_board[s:e].nonzero()[0]
+    if hits.size:
+        out = result_limbs[s:e]
+        out[hits] -= 1
+        _lend(out, s, hits[out[hits] < 0], write_board)
 
 
 def subtract_parallel(
@@ -171,28 +153,26 @@ def subtract_parallel(
     total passes are hard-capped at the limb count, beyond which
     IterationLimitExceeded signals corruption.
     """
-    if workers < 1:
-        raise ValueError("workers must be positive")
+    n = a.limb_count
+    chunks = partition_limbs(n, workers)
     if compare_magnitude(a, b) < 0:
         raise NegativeResult("minuend is smaller than subtrahend")
-    n = a.limb_count
     a_arr = limb_array(a)
     b_arr = np.zeros(n, dtype=np.int64)
     b_arr[n - b.limb_count :] = limb_array(b)
     result_limbs = np.empty(n, dtype=np.int64)
     board = BorrowBoard(n)
-    chunks = partition_limbs(n, workers)
     errors: list[BaseException] = []
 
-    def work(chunk: ChunkAssignment) -> None:
+    def work(chunk: range) -> None:
         try:
             initial_pass(chunk, a_arr, b_arr, result_limbs, board.write)
         except BaseException as exc:
             errors.append(exc)
 
     pool = [
-        threading.Thread(target=work, args=(chunk,), name=f"limb-{chunk.worker_id}")
-        for chunk in chunks
+        threading.Thread(target=work, args=(chunk,), name=f"limb-{k}")
+        for k, chunk in enumerate(chunks)
     ]
     started = 0
     try:

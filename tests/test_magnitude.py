@@ -2,6 +2,7 @@ import copy
 import functools
 import pickle
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -120,6 +121,17 @@ def test_magnitude_invariants_enforced():
         DecimalMagnitude((LIMB_BASE,))
     with pytest.raises(ValueError):
         DecimalMagnitude((-1,))
+    # a limb that is not an int, alone, and leading or last of 201 limbs:
+    # before the type check, (2.5,) minus 1 gave "1", and from 128 limbs
+    # up the kept array of (1.5,) + (0,) * 200 read 1 where limbs read 1.5
+    for bad in (2.5, 2.0, 1.5, Decimal(3), np.int64(3), np.float64(3.0)):
+        for limbs, pos in (
+            ((bad,), 0),
+            ((bad,) + (0,) * 200, 0),
+            ((1,) + (0,) * 199 + (bad,), 200),
+        ):
+            with pytest.raises(TypeError, match=f"limb {pos} is a {type(bad).__name__}"):
+                DecimalMagnitude(limbs)
 
 
 @pytest.mark.parametrize("limbs,bad", [((1, LIMB_BASE, 0), LIMB_BASE), ((1, -1, 2), -1)])
@@ -225,6 +237,18 @@ def test_format_paths_match_a_reference_at_every_lead_width(count):
         for m in (DecimalMagnitude(limbs), built):
             assert format_magnitude(m) == want
             assert parse_magnitude(want) == m
+
+
+def test_a_stripped_result_keeps_no_unstripped_array_alive():
+    # 300-limb operands that share their 150 leading limbs: the 150-limb
+    # difference keeps an array, which must own its memory
+    a, b = parse_magnitude("7" * 5400), parse_magnitude("7" * 2700 + "1" * 2700)
+    differences = [subtract_sequential(a, b)]
+    differences += [subtract_parallel(a, b, w)[0] for w in (1, 2)]
+    for m in differences:
+        assert m.limb_count == 150
+        assert m._array.base is None
+        assert str(m) == "6" * 2700
 
 
 def test_limbs_are_a_tuple_of_python_ints():

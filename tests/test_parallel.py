@@ -19,7 +19,6 @@ from bigsub import (
 )
 from bigsub.errors import IterationLimitExceeded
 from bigsub.parallel import (
-    ChunkAssignment,
     borrow_pass,
     has_pending_borrows,
     initial_pass,
@@ -32,10 +31,6 @@ B1 = LIMB_BASE - 1
 
 def arr(values, dtype=np.int64):
     return np.array(values, dtype=dtype)
-
-
-def full_chunk(n):
-    return ChunkAssignment(0, 0, n)
 
 
 # ---- partition_limbs ----------------------------------------------------
@@ -59,7 +54,6 @@ def test_partition_covers_disjointly(n, w):
         assert c.stop > c.start
         sizes.append(c.stop - c.start)
     assert max(sizes) - min(sizes) <= 1
-    assert [c.worker_id for c in chunks] == list(range(len(chunks)))
 
 
 # ---- initial_pass --------------------------------------------------------
@@ -68,7 +62,7 @@ def test_partition_covers_disjointly(n, w):
 def test_initial_pass_speculates_on_underflow():
     result = np.empty(2, dtype=np.int64)
     board = np.zeros(2, dtype=np.uint8)
-    initial_pass(full_chunk(2), arr([5, 3]), arr([2, 9]), result, board)
+    initial_pass(range(2), arr([5, 3]), arr([2, 9]), result, board)
     assert result.tolist() == [3, LIMB_BASE - 6]
     assert board.tolist() == [1, 0]
 
@@ -76,7 +70,7 @@ def test_initial_pass_speculates_on_underflow():
 def test_initial_pass_no_borrows():
     result = np.empty(2, dtype=np.int64)
     board = np.zeros(2, dtype=np.uint8)
-    initial_pass(full_chunk(2), arr([7, 7]), arr([7, 7]), result, board)
+    initial_pass(range(2), arr([7, 7]), arr([7, 7]), result, board)
     assert result.tolist() == [0, 0]
     assert board.tolist() == [0, 0]
 
@@ -86,7 +80,7 @@ def test_initial_pass_borrow_out_of_low_limb():
     # borrow is repaid in a later pass
     result = np.empty(2, dtype=np.int64)
     board = np.zeros(2, dtype=np.uint8)
-    initial_pass(full_chunk(2), arr([9, 0]), arr([0, 1]), result, board)
+    initial_pass(range(2), arr([9, 0]), arr([0, 1]), result, board)
     assert result.tolist() == [9, B1]
     assert board.tolist() == [1, 0]
     # end to end the same operands give 9*10^18 - 1
@@ -98,7 +92,7 @@ def test_initial_pass_speculative_limb_value():
     # low limbs 88 - 99 borrow from the limb above: 10^18 + 88 - 99
     result = np.empty(2, dtype=np.int64)
     board = np.zeros(2, dtype=np.uint8)
-    initial_pass(full_chunk(2), arr([1, 88]), arr([0, 99]), result, board)
+    initial_pass(range(2), arr([1, 88]), arr([0, 99]), result, board)
     assert result[1] == 999999999999999989
     assert board.tolist() == [1, 0]
 
@@ -107,7 +101,7 @@ def test_initial_pass_underflow_at_top_limb_raises():
     result = np.empty(2, dtype=np.int64)
     board = np.zeros(2, dtype=np.uint8)
     with pytest.raises(BorrowExhausted):
-        initial_pass(full_chunk(2), arr([3, 9]), arr([5, 1]), result, board)
+        initial_pass(range(2), arr([3, 9]), arr([5, 1]), result, board)
 
 
 # ---- borrow_pass ---------------------------------------------------------
@@ -116,7 +110,7 @@ def test_initial_pass_underflow_at_top_limb_raises():
 def test_borrow_pass_simple_decrement():
     result = arr([4, 0, 5])
     write = np.zeros(3, dtype=np.uint8)
-    borrow_pass(full_chunk(3), result, arr([0, 0, 1], np.uint8), write)
+    borrow_pass(range(3), result, arr([0, 0, 1], np.uint8), write)
     assert result.tolist() == [4, 0, 4]
     assert write.tolist() == [0, 0, 0]
 
@@ -125,17 +119,17 @@ def test_borrow_pass_ripples_through_zero_limbs():
     result = arr([4, 0, 0])
     read = arr([0, 0, 1], np.uint8)
     write = np.zeros(3, dtype=np.uint8)
-    borrow_pass(full_chunk(3), result, read, write)
+    borrow_pass(range(3), result, read, write)
     assert result.tolist() == [4, 0, B1]
     assert write.tolist() == [0, 1, 0]
     read, write = write, read
     write[:] = 0
-    borrow_pass(full_chunk(3), result, read, write)
+    borrow_pass(range(3), result, read, write)
     assert result.tolist() == [4, B1, B1]
     assert write.tolist() == [1, 0, 0]
     read, write = write, read
     write[:] = 0
-    borrow_pass(full_chunk(3), result, read, write)
+    borrow_pass(range(3), result, read, write)
     assert result.tolist() == [3, B1, B1]
     assert write.tolist() == [0, 0, 0]
 
@@ -143,7 +137,7 @@ def test_borrow_pass_ripples_through_zero_limbs():
 def test_borrow_pass_clean_board_is_fixed_point():
     result = arr([4, 0, 0])
     write = np.zeros(3, dtype=np.uint8)
-    borrow_pass(full_chunk(3), result, np.zeros(3, dtype=np.uint8), write)
+    borrow_pass(range(3), result, np.zeros(3, dtype=np.uint8), write)
     assert result.tolist() == [4, 0, 0]
     assert write.tolist() == [0, 0, 0]
 
@@ -151,7 +145,45 @@ def test_borrow_pass_clean_board_is_fixed_point():
 def test_borrow_pass_emission_past_top_limb_raises():
     result = arr([0, 5])
     with pytest.raises(BorrowExhausted):
-        borrow_pass(full_chunk(2), result, arr([1, 0], np.uint8), np.zeros(2, dtype=np.uint8))
+        borrow_pass(range(2), result, arr([1, 0], np.uint8), np.zeros(2, dtype=np.uint8))
+
+
+@st.composite
+def flagged_limbs(draw):
+    """Result limbs and a read board of one length in [1, 60]: the length
+    is drawn first, since st.lists alone seldom draws long lists."""
+    n = draw(st.integers(1, 60))
+    limb = st.sampled_from([0, 1, B1]) | st.integers(0, B1)
+    return draw(st.lists(limb, min_size=n, max_size=n)), draw(
+        st.lists(st.booleans(), min_size=n, max_size=n)
+    )
+
+
+@given(flagged_limbs(), st.integers(1, 5))
+def test_borrow_pass_matches_a_per_limb_model(limbs_and_flags, w):
+    limbs, flags = limbs_and_flags
+    n = len(limbs)
+    want, want_write, exhausted = list(limbs), [0] * n, False
+    for i in range(n):
+        if flags[i] and limbs[i]:
+            want[i] -= 1
+        elif flags[i] and i == 0:
+            exhausted = True
+        elif flags[i]:
+            want[i], want_write[i - 1] = B1, 1
+    result, read = arr(limbs), arr(flags, np.uint8)
+    write = np.zeros(n, dtype=np.uint8)
+    chunks = partition_limbs(n, w)
+    if exhausted:
+        with pytest.raises(BorrowExhausted):
+            for c in chunks:
+                borrow_pass(c, result, read, write)
+        return
+    for c in chunks:
+        borrow_pass(c, result, read, write)
+    assert result.tolist() == want
+    assert write.tolist() == want_write
+    assert read.tolist() == [int(f) for f in flags]
 
 
 # ---- has_pending_borrows -------------------------------------------------
@@ -335,9 +367,10 @@ def test_base_exception_in_one_worker_cannot_hang_the_pool(monkeypatch):
         pass
 
     real_initial_pass = par_mod.initial_pass
+    second = partition_limbs(6, 4)[1].start
 
     def dies_in_worker_1(chunk, a, b, result, board):
-        if chunk.worker_id == 1:
+        if chunk.start == second:
             raise WorkerDied
         real_initial_pass(chunk, a, b, result, board)
 
@@ -411,11 +444,11 @@ def test_initial_passes_run_in_chunk_threads_and_borrow_passes_in_the_caller(mon
     seen = []
 
     def recording_initial_pass(chunk, *args):
-        seen.append(("initial", chunk.worker_id, threading.current_thread().name))
+        seen.append(("initial", chunk.start, threading.current_thread().name))
         real_initial_pass(chunk, *args)
 
     def recording_borrow_pass(chunk, *args):
-        seen.append(("borrow", chunk.worker_id, threading.current_thread().name))
+        seen.append(("borrow", chunk.start, threading.current_thread().name))
         real_borrow_pass(chunk, *args)
 
     monkeypatch.setattr(par_mod, "initial_pass", recording_initial_pass)
@@ -428,8 +461,8 @@ def test_initial_passes_run_in_chunk_threads_and_borrow_passes_in_the_caller(mon
         assert stats.iterations == 6 and result.limbs == subtract_sequential(a, b).limbs
         # every initial pass ends before the first borrow pass starts
         assert [kind for kind, _, _ in seen] == ["initial"] * w + ["borrow"] * (5 * w)
-        initial = sorted((worker, name) for kind, worker, name in seen if kind == "initial")
-        assert initial == [(k, f"limb-{k}") for k in range(w)]
+        initial = sorted((start, name) for kind, start, name in seen if kind == "initial")
+        assert initial == [(c.start, f"limb-{k}") for k, c in enumerate(partition_limbs(6, w))]
         assert {name for kind, _, name in seen if kind == "borrow"} == {caller}
 
 
@@ -481,6 +514,6 @@ def test_single_writer_discipline():
             assert not (boards[i] & boards[j])
     combined = np.zeros(n, dtype=np.uint8)
     whole = np.empty(n, dtype=np.int64)
-    initial_pass(full_chunk(n), a, b, whole, combined)
+    initial_pass(range(n), a, b, whole, combined)
     assert set(np.flatnonzero(combined).tolist()) == set().union(*boards)
     assert (whole == result).all()
