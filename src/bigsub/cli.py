@@ -1,7 +1,7 @@
 """Command-line interface: sub, bench, selftest.
 
 Exit codes: 0 success, 1 input or usage errors, 2 negative result,
-3 verification failure.
+3 verification failure (a --verify mismatch or a failed selftest).
 """
 
 import argparse
@@ -68,8 +68,10 @@ def _read_operand(text: str) -> str:
 
 def _cmd_sub(args) -> int:
     try:
-        a = parse_magnitude(_read_operand(args.a))
-        b = parse_magnitude(_read_operand(args.b))
+        a_text = _read_operand(args.a)
+        a = parse_magnitude(a_text)
+        b_text = _read_operand(args.b)
+        b = parse_magnitude(b_text)
     except (EmptyInput, InvalidDigit, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -83,7 +85,13 @@ def _cmd_sub(args) -> int:
         return EXIT_NEGATIVE
     text = format_magnitude(result)
     if args.verify:
-        expected = subtract_digitwise(format_magnitude(a), format_magnitude(b))
+        # The reference reads the operand text itself, so a fault in the
+        # codec shows too.  It raises NegativeResult only if the codec let
+        # a < b through, and then no result is right.
+        try:
+            expected = subtract_digitwise(a_text, b_text)
+        except NegativeResult:
+            expected = None
         if text != expected:
             print("error: result failed verification against the reference", file=sys.stderr)
             return EXIT_VERIFY
@@ -139,7 +147,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_selftest(_args) -> int:
-    return EXIT_OK if run_selftest() else 1
+    return EXIT_OK if run_selftest() else EXIT_VERIFY
 
 
 def build_parser() -> argparse.ArgumentParser:

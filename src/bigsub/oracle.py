@@ -2,7 +2,7 @@
 
 Exists purely to validate the limb algorithms: it shares no code or
 representation with them, so a limb-slicing bug cannot hide in both.
-Used by the test suite and the CLI's --verify mode only.
+Used by the test suite, `selftest`, `sub --verify` and `bench --verify` only.
 """
 
 from .errors import EmptyInput, InvalidDigit, NegativeResult

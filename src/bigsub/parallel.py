@@ -174,30 +174,22 @@ def subtract_parallel(
         threading.Thread(target=work, args=(chunk,), name=f"limb-{k}")
         for k, chunk in enumerate(chunks)
     ]
-    started = 0
     try:
         for t in pool:
             t.start()
-            started += 1
-    except BaseException:
-        # The start failure is the one to report.  A worker error kept
-        # meanwhile would close a cycle through its traceback.
-        for t in pool[:started]:
-            t.join()
+    finally:
+        # Join every thread that runs, also when one could not start: that
+        # failure is then the one reported.  A worker error's traceback
+        # reaches work's frame and through it the `errors` cell, and once
+        # raised here, this frame too: neither `errors` nor `failures` may
+        # still hold it, or a failed call keeps its arrays in a cycle.
+        for t in pool:
+            if t.ident is not None:
+                t.join()
+        failures = errors[:1]
         errors.clear()
-        raise
-    for t in pool:
-        t.join()
-    if errors:
-        # An error's traceback reaches work's frame and through it the
-        # `errors` cell, and once raised here, this frame too: drop both
-        # references so a failed call frees its arrays at once.
-        failure = errors[0]
-        errors.clear()
-        try:
-            raise failure
-        finally:
-            del failure
+    if failures:
+        raise failures.pop()
     passes = 1
     while has_pending_borrows(board.write):
         if passes >= n:

@@ -1,5 +1,6 @@
 import pytest
 
+from bigsub import parse_magnitude
 from bigsub.cli import main
 
 
@@ -30,6 +31,33 @@ def test_sub_verify_passes(capsys):
     code, out, _ = run(capsys, "sub", "--a", "123456", "--b", "456", "--verify")
     assert code == 0
     assert out == "123000\n"
+
+
+def _drops_last_digit(text):
+    return parse_magnitude(text[:-1] or "0")
+
+
+def _drops_first_digit(text):
+    return parse_magnitude(text[1:] or "0")
+
+
+@pytest.mark.parametrize(
+    "faulty_parse, a, b",
+    [
+        (_drops_last_digit, "1000", "1"),
+        # 19 - 20 is negative, so the reference raises: a failed
+        # verification too, not a traceback
+        (_drops_first_digit, "19", "20"),
+    ],
+    ids=["drops-last-digit", "reorders-the-operands"],
+)
+def test_sub_verify_catches_a_faulty_parser(faulty_parse, a, b, monkeypatch, capsys):
+    # the reference reads the operand text, so it sees what the parser lost
+    monkeypatch.setattr("bigsub.cli.parse_magnitude", faulty_parse)
+    code, out, err = run(capsys, "sub", "--a", a, "--b", b, "--verify")
+    assert code == 3
+    assert out == ""
+    assert err.count("error:") == 1 and "Traceback" not in err
 
 
 def test_sub_file_operands(tmp_path, capsys):
@@ -135,6 +163,15 @@ def test_bench_deterministic_modulo_seconds(capsys):
     assert strip_seconds(first) == strip_seconds(second)
 
 
+def test_bench_verify_failure_exit_3(monkeypatch, capsys):
+    monkeypatch.setattr("bigsub.bench.subtract_sequential", lambda a, b: parse_magnitude("1"))
+    code, out, err = run(capsys, "bench", "--digits", "20", "--runs", "1", "--verify")
+    assert code == 3
+    assert out == ""
+    assert err.count("error:") == 1
+    assert "seed=" in err and "digits=20" in err
+
+
 def test_bench_bad_digits_exit_1(capsys):
     code, _, err = run(capsys, "bench", "--digits", "10,no")
     assert code == 1
@@ -163,3 +200,19 @@ def test_selftest_prints_no_ok_for_a_failed_section(monkeypatch):
     assert any(line.startswith("FAIL worst-case") for line in lines)
     assert not any(line.startswith("ok: worst-case ripple") for line in lines)
     assert lines[-1] == "selftest FAILED"
+
+
+def test_selftest_failure_exit_3(monkeypatch, capsys):
+    monkeypatch.setattr("bigsub.cli.run_selftest", lambda: False)
+    code, _, _ = run(capsys, "selftest")
+    assert code == 3
+
+
+def test_selftest_oracle_catches_a_faulty_parser(monkeypatch):
+    import bigsub.selftest as selftest_mod
+
+    monkeypatch.setattr(selftest_mod, "parse_magnitude", _drops_last_digit)
+    lines = []
+    assert not selftest_mod.run_selftest(echo=lines.append)
+    assert any(line.startswith("FAIL oracle equivalence") for line in lines)
+    assert not any(line.startswith("ok: oracle equivalence") for line in lines)
