@@ -3,17 +3,23 @@
 The limbs are split into contiguous chunks, one per worker.  In the
 initial pass each chunk, in a thread of its own, subtracts its limbs;
 where a limb would underflow it speculates that a borrow is available,
-corrects the limb by +10^18, and flags the next more significant limb on
-a shared borrow board.  Resolution passes then run chunk after chunk in
-the calling thread, consuming the flagged borrows and possibly flagging
-new ones, until the board is clean.  A pass changes only flagged limbs,
-yet sweeps the whole board three times: in has_pending_borrows, in
-swap_and_reset, and as each chunk scans its flags.
+corrects the limb by +10^18, and flags the next more significant limb.
+Resolution passes then run in the calling thread, consuming the flagged
+borrows and possibly flagging new ones, until no flag is left.
 
-The board is double-buffered: a pass reads the flags the previous pass
-wrote and writes flags for the next one, so the outcome is independent
-of the chunk count and of the order chunks run in.  Result limbs and
-write-board cells are each written by one chunk per pass.
+The flags are held as a frontier: the sorted array of flagged limb
+indices.  In the initial pass each chunk writes only its own result limbs
+and its own part of the frontier, and the parts joined in chunk order are
+the whole frontier.  The borrows are double-buffered: a resolution pass
+reads the frontier the previous pass wrote and builds a new one for the
+next pass, so the outcome is independent of the chunk count and of the
+order chunks run in, and a pass costs what it flags, not what the number
+has.
+
+BorrowBoard, has_pending_borrows, initial_pass and borrow_pass are the
+same kernels seen through dense per-limb boards.  subtract_parallel uses
+none of them; they stay only because benchmark/replay.py imports them,
+and go when the benchmark follows the frontier (ROADMAP items 1 and 5).
 """
 
 import threading
@@ -53,27 +59,6 @@ class IterationStats:
             )
 
 
-class BorrowBoard:
-    """Double-buffered per-limb borrow flags.
-
-    `read` holds flags produced by the previous pass, `write` collects
-    flags for the next one.  Swap only once every chunk has finished a pass.
-    """
-
-    def __init__(self, limb_count: int):
-        self.read = np.zeros(limb_count, dtype=np.uint8)
-        self.write = np.zeros(limb_count, dtype=np.uint8)
-
-    def swap_and_reset(self) -> None:
-        self.read, self.write = self.write, self.read
-        self.write[:] = 0
-
-
-def has_pending_borrows(flags) -> bool:
-    """True iff any borrow flag is set."""
-    return bool(np.any(flags))
-
-
 def partition_limbs(limb_count: int, workers: int) -> list[range]:
     """Split [0, limb_count) into contiguous chunks whose sizes differ by <= 1.
 
@@ -90,53 +75,84 @@ def partition_limbs(limb_count: int, workers: int) -> list[range]:
     return [range(s, e) for s, e in zip(bounds, bounds[1:])]
 
 
-def _lend(out: np.ndarray, start: int, under: np.ndarray, write_board: np.ndarray) -> None:
+def _lend(out: np.ndarray, start: int, under: np.ndarray) -> np.ndarray:
     """Add 10^18 to the limbs of chunk `out`, which starts at limb `start`,
-    at the ascending offsets `under`, and flag their left neighbours."""
+    at the ascending offsets `under`, and return the global indices of
+    their left neighbours, sorted: the flags they raise."""
     if under.size:
         if start == 0 and under[0] == 0:
             raise BorrowExhausted(0)
         out[under] += _BASE64
-        write_board[start + under - 1] = 1
+    return under + (start - 1)
 
 
-def initial_pass(
+def initial_frontier(
     chunk: range,
     a_limbs: np.ndarray,
     b_limbs: np.ndarray,
     result_limbs: np.ndarray,
-    write_board: np.ndarray,
-) -> None:
+) -> np.ndarray:
     """First pass over one chunk: subtract limbs, speculating on borrows.
 
-    Underflowing limbs get +10^18 and flag their left neighbour on the
-    write board.  An underflow at limb 0 has no neighbour to flag and
-    raises BorrowExhausted.
+    Underflowing limbs get +10^18 and flag their left neighbour.  Returns
+    the chunk's part of the frontier, sorted and unique, inside
+    [chunk.start - 1, chunk.stop - 1).  An underflow at limb 0 has no
+    neighbour to flag and raises BorrowExhausted.
     """
     s, e = chunk.start, chunk.stop
     out = result_limbs[s:e]
     np.subtract(a_limbs[s:e], b_limbs[s:e], out=out)
-    _lend(out, s, (out < 0).nonzero()[0], write_board)
+    return _lend(out, s, (out < 0).nonzero()[0])
 
 
-def borrow_pass(
-    chunk: range,
-    result_limbs: np.ndarray,
-    read_board: np.ndarray,
-    write_board: np.ndarray,
-) -> None:
-    """Resolution pass over one chunk: apply the borrows flagged last pass.
+def resolve_frontier(result_limbs: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    """Resolution pass: apply the borrows at `frontier`, the sorted unique
+    limb indices the previous pass flagged, and return the next frontier.
 
     A flagged limb is decremented; a flagged zero limb becomes 10^18 - 1
     and passes the borrow further left, or raises BorrowExhausted at limb
     0.  Unflagged limbs are untouched.
     """
-    s, e = chunk.start, chunk.stop
-    hits = read_board[s:e].nonzero()[0]
+    result_limbs[frontier] -= 1
+    return _lend(result_limbs, 0, frontier[result_limbs[frontier] < 0])
+
+
+class BorrowBoard:
+    """Double-buffered per-limb borrow flags: the dense view of a frontier,
+    kept only for benchmark/replay.py (see the module docstring).
+
+    `read` holds flags produced by the previous pass, `write` collects
+    flags for the next one.  Swap only once every chunk has finished a pass.
+    """
+
+    def __init__(self, limb_count: int):
+        self.read = np.zeros(limb_count, dtype=np.uint8)
+        self.write = np.zeros(limb_count, dtype=np.uint8)
+
+    def swap_and_reset(self) -> None:
+        self.read, self.write = self.write, self.read
+        self.write[:] = 0
+
+
+def has_pending_borrows(flags) -> bool:
+    """True iff any borrow flag is set on a dense board (kept only for
+    benchmark/replay.py)."""
+    return bool(np.any(flags))
+
+
+def initial_pass(chunk, a_limbs, b_limbs, result_limbs, write_board) -> None:
+    """initial_frontier, flagging its frontier on a dense write board
+    (kept only for benchmark/replay.py)."""
+    write_board[initial_frontier(chunk, a_limbs, b_limbs, result_limbs)] = 1
+
+
+def borrow_pass(chunk, result_limbs, read_board, write_board) -> None:
+    """resolve_frontier on the flags of one chunk of a dense read board,
+    flagging the next frontier on a dense write board (kept only for
+    benchmark/replay.py)."""
+    hits = read_board[chunk.start : chunk.stop].nonzero()[0] + chunk.start
     if hits.size:
-        out = result_limbs[s:e]
-        out[hits] -= 1
-        _lend(out, s, hits[out[hits] < 0], write_board)
+        write_board[resolve_frontier(result_limbs, hits)] = 1
 
 
 def subtract_parallel(
@@ -161,17 +177,17 @@ def subtract_parallel(
     b_arr = np.zeros(n, dtype=np.int64)
     b_arr[n - b.limb_count :] = limb_array(b)
     result_limbs = np.empty(n, dtype=np.int64)
-    board = BorrowBoard(n)
+    parts: list[np.ndarray | None] = [None] * len(chunks)
     errors: list[BaseException] = []
 
-    def work(chunk: range) -> None:
+    def work(k: int, chunk: range) -> None:
         try:
-            initial_pass(chunk, a_arr, b_arr, result_limbs, board.write)
+            parts[k] = initial_frontier(chunk, a_arr, b_arr, result_limbs)
         except BaseException as exc:
             errors.append(exc)
 
     pool = [
-        threading.Thread(target=work, args=(chunk,), name=f"limb-{k}")
+        threading.Thread(target=work, args=(k, chunk), name=f"limb-{k}")
         for k, chunk in enumerate(chunks)
     ]
     try:
@@ -190,15 +206,15 @@ def subtract_parallel(
         errors.clear()
     if failures:
         raise failures.pop()
+    # chunk order keeps the concatenated parts sorted and unique
+    frontier = np.concatenate(parts)
     passes = 1
-    while has_pending_borrows(board.write):
+    while frontier.size:
         if passes >= n:
             raise IterationLimitExceeded(
                 f"borrows still pending after {passes} passes over {n} limbs"
             )
-        board.swap_and_reset()
         passes += 1
-        for chunk in chunks:
-            borrow_pass(chunk, result_limbs, board.read, board.write)
+        frontier = resolve_frontier(result_limbs, frontier)
     result = _magnitude_from_array(_canonical_array(result_limbs))
     return result, IterationStats(passes, n, len(chunks))

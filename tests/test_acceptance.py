@@ -86,7 +86,7 @@ def test_criterion_02_parallel_equals_sequential(solved_corpus):
 
 def test_criterion_03_worst_case_iterations():
     with criterion(3, "ripple family takes exactly n-1 borrow-resolution passes"):
-        for n in (2, 4, 16, 256):
+        for n in (2, 4, 16, 256, 55_556):  # the last is a 10^6-digit ripple
             a = parse_magnitude("1" + "0" * (18 * (n - 1)))
             b = parse_magnitude("1")
             result, stats = subtract_parallel(a, b, 4)

@@ -21,8 +21,10 @@ from bigsub.errors import IterationLimitExceeded
 from bigsub.parallel import (
     borrow_pass,
     has_pending_borrows,
+    initial_frontier,
     initial_pass,
     partition_limbs,
+    resolve_frontier,
 )
 from bigsub.rng import SplitMix64
 
@@ -174,16 +176,23 @@ def test_borrow_pass_matches_a_per_limb_model(limbs_and_flags, w):
     result, read = arr(limbs), arr(flags, np.uint8)
     write = np.zeros(n, dtype=np.uint8)
     chunks = partition_limbs(n, w)
+    sparse, frontier = arr(limbs), np.flatnonzero(flags)
     if exhausted:
         with pytest.raises(BorrowExhausted):
             for c in chunks:
                 borrow_pass(c, result, read, write)
+        with pytest.raises(BorrowExhausted):
+            resolve_frontier(sparse, frontier)
         return
     for c in chunks:
         borrow_pass(c, result, read, write)
     assert result.tolist() == want
     assert write.tolist() == want_write
     assert read.tolist() == [int(f) for f in flags]
+    following = resolve_frontier(sparse, frontier)
+    assert sparse.tolist() == want
+    assert following.tolist() == np.flatnonzero(want_write).tolist()
+    assert frontier.tolist() == np.flatnonzero(flags).tolist()
 
 
 # ---- has_pending_borrows -------------------------------------------------
@@ -274,10 +283,10 @@ def test_iteration_stats_invariant():
 def test_worker_errors_propagate_without_deadlock(monkeypatch):
     import bigsub.parallel as par_mod
 
-    def exploding(chunk, a, b, result, board):
+    def exploding(chunk, a, b, result):
         raise BorrowExhausted(chunk.start)
 
-    monkeypatch.setattr(par_mod, "initial_pass", exploding)
+    monkeypatch.setattr(par_mod, "initial_frontier", exploding)
     with pytest.raises(BorrowExhausted):
         subtract_parallel(parse_magnitude("100"), parse_magnitude("1"), 4)
 
@@ -328,10 +337,10 @@ def test_failed_calls_leave_no_reference_cycles(monkeypatch):
     ripple = (parse_magnitude("1" + "0" * 90), parse_magnitude("1"))
     for failure in (BorrowExhausted, WorkerDied):
 
-        def failing(chunk, a, b, result, board, failure=failure):
+        def failing(chunk, a, b, result, failure=failure):
             raise failure(chunk.start)
 
-        monkeypatch.setattr(par_mod, "initial_pass", failing)
+        monkeypatch.setattr(par_mod, "initial_frontier", failing)
         gc.collect()
         gc.disable()
         try:
@@ -341,7 +350,7 @@ def test_failed_calls_leave_no_reference_cycles(monkeypatch):
                 except (BorrowExhausted, WorkerDied):
                     pass
                 else:
-                    pytest.fail("the patched initial_pass did not fail the call")
+                    pytest.fail("the patched initial_frontier did not fail the call")
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -350,10 +359,10 @@ def test_failed_calls_leave_no_reference_cycles(monkeypatch):
 def test_pass_cap_guard_reports_corruption(monkeypatch):
     import bigsub.parallel as par_mod
 
-    def never_drains(chunk, result, read_board, write_board):
-        write_board[chunk.start : chunk.stop] = read_board[chunk.start : chunk.stop]
+    def never_drains(result, frontier):
+        return frontier
 
-    monkeypatch.setattr(par_mod, "borrow_pass", never_drains)
+    monkeypatch.setattr(par_mod, "resolve_frontier", never_drains)
     with pytest.raises(IterationLimitExceeded):
         subtract_parallel(parse_magnitude("1" + "0" * 36), parse_magnitude("1"), 2)
 
@@ -366,15 +375,15 @@ def test_base_exception_in_one_worker_cannot_hang_the_pool(monkeypatch):
     class WorkerDied(BaseException):
         pass
 
-    real_initial_pass = par_mod.initial_pass
+    real_initial_frontier = par_mod.initial_frontier
     second = partition_limbs(6, 4)[1].start
 
-    def dies_in_worker_1(chunk, a, b, result, board):
+    def dies_in_worker_1(chunk, a, b, result):
         if chunk.start == second:
             raise WorkerDied
-        real_initial_pass(chunk, a, b, result, board)
+        return real_initial_frontier(chunk, a, b, result)
 
-    monkeypatch.setattr(par_mod, "initial_pass", dies_in_worker_1)
+    monkeypatch.setattr(par_mod, "initial_frontier", dies_in_worker_1)
     seen = []
 
     def call():
@@ -407,12 +416,12 @@ def test_failed_thread_start_releases_the_started_workers(monkeypatch, worker_fa
                 raise RuntimeError("can't start new thread")
         real_start(thread)
 
-    def fails_in_worker_0(chunk, a, b, result, board):
+    def fails_in_worker_0(chunk, a, b, result):
         raise BorrowExhausted(chunk.start)
 
     monkeypatch.setattr(threading.Thread, "start", start)
     if worker_fails:
-        monkeypatch.setattr(par_mod, "initial_pass", fails_in_worker_0)
+        monkeypatch.setattr(par_mod, "initial_frontier", fails_in_worker_0)
     seen = []
 
     def call():
@@ -440,30 +449,62 @@ def test_failed_thread_start_releases_the_started_workers(monkeypatch, worker_fa
 def test_initial_passes_run_in_chunk_threads_and_borrow_passes_in_the_caller(monkeypatch):
     import bigsub.parallel as par_mod
 
-    real_initial_pass, real_borrow_pass = par_mod.initial_pass, par_mod.borrow_pass
+    real_initial, real_resolve = par_mod.initial_frontier, par_mod.resolve_frontier
     seen = []
 
-    def recording_initial_pass(chunk, *args):
+    def recording_initial_frontier(chunk, *args):
         seen.append(("initial", chunk.start, threading.current_thread().name))
-        real_initial_pass(chunk, *args)
+        return real_initial(chunk, *args)
 
-    def recording_borrow_pass(chunk, *args):
-        seen.append(("borrow", chunk.start, threading.current_thread().name))
-        real_borrow_pass(chunk, *args)
+    def recording_resolve_frontier(result, frontier):
+        seen.append(("borrow", frontier.tolist(), threading.current_thread().name))
+        return real_resolve(result, frontier)
 
-    monkeypatch.setattr(par_mod, "initial_pass", recording_initial_pass)
-    monkeypatch.setattr(par_mod, "borrow_pass", recording_borrow_pass)
+    monkeypatch.setattr(par_mod, "initial_frontier", recording_initial_frontier)
+    monkeypatch.setattr(par_mod, "resolve_frontier", recording_resolve_frontier)
     caller = threading.current_thread().name
     a, b = parse_magnitude("1" + "0" * 90), parse_magnitude("1")  # a 6-limb ripple
     for w in (1, 2, 4):
         seen.clear()
         result, stats = subtract_parallel(a, b, w)
         assert stats.iterations == 6 and result.limbs == subtract_sequential(a, b).limbs
-        # every initial pass ends before the first borrow pass starts
-        assert [kind for kind, _, _ in seen] == ["initial"] * w + ["borrow"] * (5 * w)
+        # one initial frontier per chunk, each in its chunk's thread, all
+        # before the first resolution pass; then one resolution pass per
+        # pass, each over the one limb the ripple has reached
+        assert [kind for kind, _, _ in seen] == ["initial"] * w + ["borrow"] * 5
         initial = sorted((start, name) for kind, start, name in seen if kind == "initial")
         assert initial == [(c.start, f"limb-{k}") for k, c in enumerate(partition_limbs(6, w))]
-        assert {name for kind, _, name in seen if kind == "borrow"} == {caller}
+        assert [(at, name) for kind, at, name in seen if kind == "borrow"] == [
+            ([i], caller) for i in (4, 3, 2, 1, 0)
+        ]
+
+
+def test_subtract_parallel_uses_no_dense_board(monkeypatch):
+    # the call holds its borrows as frontiers; the dense-board view of the
+    # kernels, kept for the benchmark's replay, must not be reached
+    import bigsub.parallel as par_mod
+
+    rng = SplitMix64(0xF00D)
+    x = "".join(str(int(v) % 10) for v in rng.next_block(900))
+    y = "".join(str(int(v) % 10) for v in rng.next_block(900))
+    pairs = {
+        "ripple": (parse_magnitude("1" + "0" * (18 * 40)), parse_magnitude("1")),
+        "random": (parse_magnitude("9" + x), parse_magnitude("1" + y)),
+    }
+    want = {(name, w): subtract_parallel(*pair, w)[1] for name, pair in pairs.items() for w in (1, 2, 4, 8)}
+    assert {want["ripple", w] for w in (1, 2, 4, 8)} == {IterationStats(41, 41, w) for w in (1, 2, 4, 8)}
+    assert all(want["random", w].iterations >= 2 for w in (1, 2, 4, 8))
+
+    def dense(*args):
+        raise AssertionError("subtract_parallel used a dense borrow board")
+
+    for name in ("BorrowBoard", "has_pending_borrows", "initial_pass", "borrow_pass"):
+        monkeypatch.setattr(par_mod, name, dense)
+    for name, pair in pairs.items():
+        for w in (1, 2, 4, 8):
+            got, stats = subtract_parallel(*pair, w)
+            assert got.limbs == subtract_sequential(*pair).limbs
+            assert stats == want[name, w]
 
 
 def test_limb_range_holds_after_every_pass():
@@ -479,18 +520,24 @@ def test_limb_range_holds_after_every_pass():
     chunks = partition_limbs(n, 3)
     for c in chunks:
         initial_pass(c, a, b, result, write)
+    sparse = np.empty(n, dtype=np.int64)
+    frontier = np.concatenate([initial_frontier(c, a, b, sparse) for c in chunks])
     passes = 1
     while has_pending_borrows(write):
         assert ((result >= 0) & (result < LIMB_BASE)).all()
+        assert (sparse == result).all()
+        assert frontier.tolist() == np.flatnonzero(write).tolist()
         read, write = write, read
         write[:] = 0
         for c in chunks:
             borrow_pass(c, result, read, write)
+        frontier = resolve_frontier(sparse, frontier)
         passes += 1
         assert passes <= n
     assert ((result >= 0) & (result < LIMB_BASE)).all()
     assert passes == n
     assert result.tolist() == [0] + [B1] * (n - 1)
+    assert frontier.size == 0 and (sparse == result).all()
 
 
 def test_single_writer_discipline():
@@ -516,4 +563,12 @@ def test_single_writer_discipline():
     whole = np.empty(n, dtype=np.int64)
     initial_pass(range(n), a, b, whole, combined)
     assert set(np.flatnonzero(combined).tolist()) == set().union(*boards)
+    assert (whole == result).all()
+    # each chunk's initial frontier is sorted, unique and its own; in chunk
+    # order the parts are the whole array's frontier
+    parts = [initial_frontier(c, a, b, result) for c in chunks]
+    for c, part in zip(chunks, parts):
+        assert (np.diff(part) > 0).all()
+        assert ((part >= c.start - 1) & (part < c.stop - 1)).all()
+    assert np.concatenate(parts).tolist() == initial_frontier(range(n), a, b, whole).tolist()
     assert (whole == result).all()
