@@ -1,13 +1,15 @@
 """Command-line interface: sub, bench, selftest.
 
-Exit codes: 0 success, 1 input or usage errors, 2 negative result,
-3 verification failure (a --verify mismatch or a failed selftest).
+Exit codes: 0 success, 1 input or usage errors (an output that cannot
+be written and a worker thread that cannot start among them), 2 negative
+result, 3 verification failure (a --verify mismatch or a failed
+selftest).  Commands raise; main maps each failure to its code.
 """
 
 import argparse
 import statistics
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 
 from .bench import (
     DEFAULT_DIGITS,
@@ -55,6 +57,13 @@ def seed_u64(text: str) -> int:
     return value
 
 
+def digit_lengths(text: str) -> list[int]:
+    lengths = [positive_int(d) for d in text.split(",") if d]
+    if not lengths:
+        raise argparse.ArgumentTypeError("wants at least one operand length")
+    return lengths
+
+
 def _read_operand(text: str) -> str:
     if text.startswith("@"):
         with open(text[1:], "r", encoding="ascii") as fh:
@@ -67,34 +76,24 @@ def _read_operand(text: str) -> str:
 
 
 def _cmd_sub(args) -> int:
-    try:
-        a_text = _read_operand(args.a)
-        a = parse_magnitude(a_text)
-        b_text = _read_operand(args.b)
-        b = parse_magnitude(b_text)
-    except (EmptyInput, InvalidDigit, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        if args.parallel:
-            result, _ = subtract_parallel(a, b, args.workers)
-        else:
-            result = subtract_sequential(a, b)
-    except NegativeResult:
-        print("error: result would be negative", file=sys.stderr)
-        return EXIT_NEGATIVE
+    a_text = _read_operand(args.a)
+    a = parse_magnitude(a_text)
+    b_text = _read_operand(args.b)
+    b = parse_magnitude(b_text)
+    if args.parallel:
+        result, _ = subtract_parallel(a, b, args.workers)
+    else:
+        result = subtract_sequential(a, b)
     text = format_magnitude(result)
     if args.verify:
         # The reference reads the operand text itself, so a fault in the
         # codec shows too.  It raises NegativeResult only if the codec let
         # a < b through, and then no result is right.
-        try:
+        expected = None
+        with suppress(NegativeResult):
             expected = subtract_digitwise(a_text, b_text)
-        except NegativeResult:
-            expected = None
         if text != expected:
-            print("error: result failed verification against the reference", file=sys.stderr)
-            return EXIT_VERIFY
+            raise VerificationFailure("result failed verification against the reference")
     print(text)
     return EXIT_OK
 
@@ -113,32 +112,14 @@ def _bench_summary(rows) -> str:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        digit_lengths = [int(d) for d in args.digits.split(",") if d]
-        if not digit_lengths or min(digit_lengths) < 1:
-            raise ValueError
-    except ValueError:
-        print("error: --digits wants a comma-separated list of positive integers", file=sys.stderr)
-        return EXIT_INPUT
-    cases = build_cases(digit_lengths, runs=args.runs, workers=args.workers, seed=args.seed)
+    cases = build_cases(args.digits, runs=args.runs, workers=args.workers, seed=args.seed)
     # Open the CSV file before timing anything, so a path that cannot be
-    # written fails at once rather than after the whole suite.
-    try:
-        out = open(args.csv, "w", encoding="ascii", newline="") if args.csv else nullcontext(sys.stdout)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    # opened fails at once rather than after the whole suite.
+    out = open(args.csv, "w", encoding="ascii", newline="") if args.csv else nullcontext(sys.stdout)
     with out as fh:
         rows = []
-        try:
-            for case in cases:
-                rows.extend(run_bench(case, verify=args.verify, emit_hash=args.emit_hash))
-        except VerificationFailure as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VERIFY
-        except MemoryError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        for case in cases:
+            rows.extend(run_bench(case, verify=args.verify, emit_hash=args.emit_hash))
         fh.write(rows_to_csv(rows))
     if args.csv:
         print(f"wrote {len(rows)} rows to {args.csv}", file=sys.stderr)
@@ -163,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub.set_defaults(func=_cmd_sub)
 
     p_bench = sub.add_parser("bench", help="run the timing suite and emit CSV")
-    p_bench.add_argument("--digits", default=",".join(str(d) for d in DEFAULT_DIGITS),
+    p_bench.add_argument("--digits", type=digit_lengths, default=list(DEFAULT_DIGITS),
                          help="comma-separated operand lengths")
     p_bench.add_argument("--runs", type=positive_int, default=DEFAULT_RUNS, help="runs per case and algorithm")
     p_bench.add_argument("--workers", type=positive_int, default=DEFAULT_WORKERS, help="parallel worker count")
@@ -179,9 +160,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    # The one place a command's failure becomes an exit code and one
+    # `error:` line; any other exception is an internal fault and keeps
+    # its traceback.
+    try:
+        return args.func(args)
+    except NegativeResult:
+        code, message = EXIT_NEGATIVE, "result would be negative"
+    except VerificationFailure as exc:
+        code, message = EXIT_VERIFY, str(exc)
+    except (EmptyInput, InvalidDigit, UnicodeDecodeError, OSError, MemoryError) as exc:
+        code, message = EXIT_INPUT, str(exc)
+    except RuntimeError as exc:
+        # Thread.start raises a plain RuntimeError when no thread can
+        # start; subclasses such as IterationLimitExceeded and
+        # RecursionError are internal faults.
+        if type(exc) is not RuntimeError:
+            raise
+        code, message = EXIT_INPUT, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

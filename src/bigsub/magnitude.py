@@ -168,7 +168,18 @@ def _magnitude_from_list(limbs: list[int]) -> DecimalMagnitude:
     n = len(limbs)
     if n < _ARRAY_MIN_LIMBS:
         return _magnitude_from_ints(canonical_limbs(limbs))
-    return _magnitude_from_array(_canonical_array(np.fromiter(limbs, np.int64, n)))
+    return _magnitude_from_padded(np.fromiter(limbs, np.int64, n))
+
+
+def _magnitude_from_padded(arr: np.ndarray) -> DecimalMagnitude:
+    """_magnitude_from_array for an int64 limb array that may start with
+    zero limbs.  Stripping them copies what is left, so that a short
+    result does not keep the stripped limbs alive."""
+    n = len(arr)
+    if n > 1 and arr[0] == 0:
+        nonzero = arr[:-1] != 0
+        arr = arr[int(nonzero.argmax()) if nonzero.any() else n - 1 :].copy()
+    return _magnitude_from_array(arr)
 
 
 def limb_array(m: DecimalMagnitude) -> np.ndarray:
@@ -188,17 +199,6 @@ def canonical_limbs(limbs: list[int]) -> tuple[int, ...]:
     while k < last and limbs[k] == 0:
         k += 1
     return tuple(limbs[k:])
-
-
-def _canonical_array(arr: np.ndarray) -> np.ndarray:
-    """A limb array without its leading zero limbs, keeping at least one:
-    arr itself if it has none, else a copy, so that a short result does
-    not keep the stripped limbs alive."""
-    n = len(arr)
-    if n == 1 or arr[0] != 0:
-        return arr
-    nonzero = arr[:-1] != 0
-    return arr[int(nonzero.argmax()) if nonzero.any() else n - 1 :].copy()
 
 
 def parse_magnitude(s: str) -> DecimalMagnitude:
@@ -276,21 +276,18 @@ def compare_magnitude(a: DecimalMagnitude, b: DecimalMagnitude) -> int:
 
 
 def pad_to_length(m: DecimalMagnitude, n: int) -> list[int]:
-    """Return m's limbs with zero limbs prepended up to length n.
+    """Return m's limbs as a new list with zero limbs prepended up to
+    length n, read from the kept array when m has one, so that the limbs
+    tuple is not built.
 
     The output is generally not canonical; it exists so subtraction can
     run over aligned, equal-length limb sequences.
     """
-    count = m.limb_count
+    arr = m._array
+    padded = list(m.limbs) if arr is None else arr.tolist()
+    count = len(padded)
     if n < count:
         raise LengthUnderflow(f"cannot pad {count} limbs down to {n}")
-    padded = limb_list(m)
-    padded[:0] = [0] * (n - count)
+    if n > count:
+        padded[:0] = [0] * (n - count)
     return padded
-
-
-def limb_list(m: DecimalMagnitude) -> list[int]:
-    """m's limbs as a new list of Python ints, read from the kept array
-    when m has one, so that the limbs tuple is not built."""
-    arr = m._array
-    return list(m.limbs) if arr is None else arr.tolist()

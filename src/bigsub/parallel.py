@@ -31,8 +31,7 @@ from .errors import BorrowExhausted, IterationLimitExceeded, NegativeResult
 from .magnitude import (
     LIMB_BASE,
     DecimalMagnitude,
-    _canonical_array,
-    _magnitude_from_array,
+    _magnitude_from_padded,
     compare_magnitude,
     limb_array,
 )
@@ -216,5 +215,5 @@ def subtract_parallel(
             )
         passes += 1
         frontier = resolve_frontier(result_limbs, frontier)
-    result = _magnitude_from_array(_canonical_array(result_limbs))
+    result = _magnitude_from_padded(result_limbs)
     return result, IterationStats(passes, n, len(chunks))

@@ -14,7 +14,6 @@ from .magnitude import (
     DecimalMagnitude,
     _magnitude_from_list,
     compare_magnitude,
-    limb_list,
     pad_to_length,
 )
 
@@ -58,7 +57,7 @@ def subtract_sequential(
     if compare_magnitude(a, b) < 0:
         raise NegativeResult("minuend is smaller than subtrahend")
     n = a.limb_count
-    work = limb_list(a)
+    work = pad_to_length(a, n)
     small = pad_to_length(b, n)
     borrows = 0
     # limb i is final once subtracted: borrows only reach limbs left of it

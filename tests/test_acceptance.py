@@ -205,5 +205,7 @@ def test_criterion_10_cli_determinism(tmp_path):
             return ["," .join(line.split(",")[:4] + line.split(",")[5:]) for line in text.splitlines()]
 
         assert strip_seconds(outs[0]) == strip_seconds(outs[1])
-        hashes = {line.split(",")[6] for line in outs[0].splitlines()[1:]}
-        assert len(hashes) == 1  # sequential and parallel agree
+        rows = [line.split(",") for line in outs[0].splitlines()[1:]]
+        # both algorithms give this seed's pinned result, in 2 passes
+        assert [row[6] for row in rows] == ["da879b75b1c102c5"] * 4
+        assert [row[5] for row in rows if row[0] == "parallel"] == ["2", "2"]

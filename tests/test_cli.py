@@ -1,6 +1,9 @@
+import os
+import threading
+
 import pytest
 
-from bigsub import parse_magnitude
+from bigsub import IterationLimitExceeded, parse_magnitude
 from bigsub.cli import main
 
 
@@ -109,10 +112,16 @@ def test_usage_error_exit_1(capsys):
         # numpy refuses this length before allocating; never test lengths
         # it would try to allocate
         ["bench", "--digits", "100000000000000000000000"],
+        # opens, but every write fails
+        pytest.param(
+            ["bench", "--digits", "20", "--runs", "1", "--csv", "/dev/full"],
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+        ),
     ],
     ids=[
         "bench-runs-0", "bench-workers-0", "sub-parallel-workers-0", "sub-non-ascii-file",
         "bench-csv-missing-dir", "bench-csv-is-a-directory", "bench-digits-too-long",
+        "bench-csv-write-fails",
     ],
 )
 def test_bad_input_is_one_line_exit_1(argv, tmp_path, capsys):
@@ -122,6 +131,40 @@ def test_bad_input_is_one_line_exit_1(argv, tmp_path, capsys):
     assert code == 1
     assert err.count("error:") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sub", "--a", "1" + "0" * 36, "--b", "1", "--parallel", "--workers", "2"],
+        ["bench", "--digits", "20", "--runs", "1"],
+        ["selftest"],
+    ],
+    ids=["sub-parallel", "bench", "selftest"],
+)
+def test_a_thread_that_cannot_start_is_one_line_exit_1(argv, monkeypatch, capsys):
+    # as Thread.start fails when no thread can be started; no chunk
+    # thread starts at all
+    real_start = threading.Thread.start
+
+    def start(thread):
+        if thread.name.startswith("limb-"):
+            raise RuntimeError("can't start new thread")
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.count("error:") == 1 and "can't start new thread" in err
+    assert "Traceback" not in err
+
+
+def test_an_internal_fault_keeps_its_traceback(monkeypatch):
+    # a resolution pass that re-emits its frontier never settles: that is
+    # corruption, not an input error, so main does not map it to a code
+    monkeypatch.setattr("bigsub.parallel.resolve_frontier", lambda result, frontier: frontier)
+    with pytest.raises(IterationLimitExceeded):
+        main(["sub", "--a", "1" + "0" * 36, "--b", "1", "--parallel"])
 
 
 @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
