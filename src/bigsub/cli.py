@@ -116,11 +116,17 @@ def _cmd_bench(args) -> int:
     # Open the CSV file before timing anything, so a path that cannot be
     # opened fails at once rather than after the whole suite.
     out = open(args.csv, "w", encoding="ascii", newline="") if args.csv else nullcontext(sys.stdout)
-    with out as fh:
-        rows = []
-        for case in cases:
-            rows.extend(run_bench(case, verify=args.verify, emit_hash=args.emit_hash))
-        fh.write(rows_to_csv(rows))
+    try:
+        with out as fh:
+            rows = []
+            for case in cases:
+                rows.extend(run_bench(case, verify=args.verify, emit_hash=args.emit_hash))
+            fh.write(rows_to_csv(rows))
+    except OSError as exc:
+        # A buffered write fails when the file closes, with no filename.
+        if exc.filename is None:
+            exc.filename = args.csv
+        raise
     if args.csv:
         print(f"wrote {len(rows)} rows to {args.csv}", file=sys.stderr)
     print(_bench_summary(rows), file=sys.stderr)

@@ -131,6 +131,8 @@ def test_bad_input_is_one_line_exit_1(argv, tmp_path, capsys):
     assert code == 1
     assert err.count("error:") == 1
     assert "Traceback" not in err
+    if "/dev/full" in argv:
+        assert "/dev/full" in err
 
 
 @pytest.mark.parametrize(

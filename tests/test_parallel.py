@@ -3,7 +3,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bigsub import (
@@ -14,11 +14,13 @@ from bigsub import (
     compare_magnitude,
     format_magnitude,
     parse_magnitude,
+    subtract_digitwise,
     subtract_parallel,
     subtract_sequential,
 )
 from bigsub.errors import IterationLimitExceeded
 from bigsub.parallel import (
+    _FEW_FLAGS,
     borrow_pass,
     has_pending_borrows,
     initial_frontier,
@@ -161,6 +163,20 @@ def flagged_limbs(draw):
     )
 
 
+def exactly_flagged(count, exhausted):
+    """Limbs and a read board with exactly `count` flags, half of the
+    flagged limbs zero; limb 0 is a flagged zero iff `exhausted`."""
+    limbs = [B1 if i % 2 else 0 for i in range(count + 1)]
+    flags = [i < count if exhausted else i > 0 for i in range(count + 1)]
+    return limbs, flags
+
+
+# a frontier of exactly _FEW_FLAGS entries runs the limb-by-limb pass, one
+# more runs the numpy pass; each kernel also meets a flagged zero at limb 0
+@example(exactly_flagged(_FEW_FLAGS, False), 2)
+@example(exactly_flagged(_FEW_FLAGS, True), 2)
+@example(exactly_flagged(_FEW_FLAGS + 1, False), 2)
+@example(exactly_flagged(_FEW_FLAGS + 1, True), 2)
 @given(flagged_limbs(), st.integers(1, 5))
 def test_borrow_pass_matches_a_per_limb_model(limbs_and_flags, w):
     limbs, flags = limbs_and_flags
@@ -242,6 +258,35 @@ def test_worst_case_ripple_iterations():
         result, stats = subtract_parallel(a, parse_magnitude("1"), 4)
         assert stats.iterations == n  # initial pass + n-1 resolution passes
         assert format_magnitude(result) == "9" * (18 * (n - 1))
+
+
+def test_one_call_runs_both_resolution_kernels(monkeypatch):
+    # 2 * _FEW_FLAGS independent borrow chains, the z-th a 1 limb followed
+    # by z zero limbs with the subtrahend's 1 under the last: the frontier
+    # starts above _FEW_FLAGS and shrinks by one chain per pass to 1
+    import bigsub.parallel as par_mod
+
+    lengths = range(1, 2 * _FEW_FLAGS + 1)
+    a_limbs = [x for z in lengths for x in [1] + [0] * z]
+    b_limbs = [x for z in lengths for x in [0] * z + [1]]
+    a_text, b_text = ("".join("%018d" % x for x in limbs).lstrip("0") for limbs in (a_limbs, b_limbs))
+    a, b = parse_magnitude(a_text), parse_magnitude(b_text)
+    real_resolve = par_mod.resolve_frontier
+    sizes = []
+
+    def recording_resolve_frontier(result, frontier):
+        sizes.append(frontier.size)
+        return real_resolve(result, frontier)
+
+    monkeypatch.setattr(par_mod, "resolve_frontier", recording_resolve_frontier)
+    want = subtract_sequential(a, b)
+    assert format_magnitude(want) == subtract_digitwise(a_text, b_text)
+    for w in (1, 2, 3, 8):
+        sizes.clear()
+        result, stats = subtract_parallel(a, b, w)
+        assert result.limbs == want.limbs
+        assert stats.iterations == 1 + max(lengths)
+        assert sizes[0] > _FEW_FLAGS >= sizes[-1]
 
 
 def test_best_case_single_iteration():
