@@ -70,8 +70,6 @@ def _read_operand(text: str) -> str:
             text = fh.read()
         if text.endswith("\n"):
             text = text[:-1]
-        if text.endswith("\r"):
-            text = text[:-1]
     return text
 
 

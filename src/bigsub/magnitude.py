@@ -58,6 +58,8 @@ class DecimalMagnitude:
         limbs = tuple(self.limbs)
         _check_limb_types(limbs)
         _set_limbs(self, limbs)
+        if len(limbs) >= _ARRAY_MIN_LIMBS:
+            object.__setattr__(self, "_array", limb_array(self))
 
     def __reduce__(self):
         # Rebuild a copy through the checked constructor, which keeps an
@@ -99,21 +101,27 @@ DecimalMagnitude.limbs = _LimbsFromArray()
 
 def _set_limbs(m: DecimalMagnitude, limbs: tuple[int, ...]) -> None:
     """Store int limbs on a magnitude being built, after the checks every
-    builder runs, and keep their array from _ARRAY_MIN_LIMBS limbs up."""
+    builder runs."""
     object.__setattr__(m, "limbs", limbs)
     _check_lead_limb(limbs)
     _check_limb_range(limbs)
-    if len(limbs) >= _ARRAY_MIN_LIMBS:
-        object.__setattr__(m, "_array", limb_array(m))
 
 
 def _magnitude_from_ints(limbs: list[int] | tuple[int, ...]) -> DecimalMagnitude:
-    """DecimalMagnitude(limbs) for limbs that tolist or int arithmetic
-    made, without the constructor's type check: at about 0.03 µs a limb,
-    it made a small-many-like loop of parses, sequential subtractions
-    and formats 12% slower on a 2-vCPU Xeon."""
+    """Build a magnitude from Python-int limbs that may start with zero
+    limbs, such as tolist or int arithmetic made, stripping them.
+
+    Skips the constructor's type check: at about 0.03 µs a limb, it made
+    a small-many-like loop of parses, sequential subtractions and formats
+    12% slower on a 2-vCPU Xeon.  From _ARRAY_MIN_LIMBS limbs up, fromiter
+    builds the array to keep: 1.9 ms at 55,556 limbs on that host, against
+    2.5 ms for np.array.
+    """
+    n = len(limbs)
+    if n >= _ARRAY_MIN_LIMBS:
+        return _magnitude_from_padded(np.fromiter(limbs, np.int64, n))
     m = object.__new__(DecimalMagnitude)
-    _set_limbs(m, tuple(limbs))
+    _set_limbs(m, canonical_limbs(limbs))
     return m
 
 
@@ -140,17 +148,24 @@ def _check_limb_range(limbs: tuple[int, ...]) -> None:
             raise ValueError(f"limb {limb} outside [0, 10^{LIMB_DIGITS})")
 
 
-def _magnitude_from_array(arr: np.ndarray) -> DecimalMagnitude:
-    """Build a magnitude from a 1-D int64 limb array.
+def _magnitude_from_padded(arr: np.ndarray) -> DecimalMagnitude:
+    """Build a magnitude from a 1-D int64 limb array that may start with
+    zero limbs, stripping them.
 
-    Runs the same checks as the public constructor and raises the same
-    errors.  From _ARRAY_MIN_LIMBS limbs up the magnitude keeps only the
-    array, made read-only, and builds its limbs tuple on first read; the
-    caller must hold no other writable view of the array.
+    Where the public constructor rejects a leading zero limb, this strips
+    it; it runs the constructor's other checks and raises the same errors.
+    From _ARRAY_MIN_LIMBS limbs up the magnitude keeps only the array,
+    made read-only, and builds its limbs tuple on first read; the caller
+    must hold no other writable view of the array.  Stripping copies what
+    is left, so that a short result does not keep the stripped limbs
+    alive.
     """
     if len(arr) < _ARRAY_MIN_LIMBS:
         return _magnitude_from_ints(arr.tolist())
-    _check_lead_limb(arr)
+    if arr[0] == 0:
+        nonzero = arr[:-1] != 0
+        start = int(nonzero.argmax()) if nonzero.any() else len(arr) - 1
+        return _magnitude_from_padded(arr[start:].copy())
     # Seen as uint64, a negative limb is at least 2^63, so one reduction
     # checks both ends of the range; the tuple check names the limb.
     if arr.view(np.uint64).max() >= _LIMB_BASE_U64:
@@ -159,27 +174,6 @@ def _magnitude_from_array(arr: np.ndarray) -> DecimalMagnitude:
     m = object.__new__(DecimalMagnitude)
     object.__setattr__(m, "_array", arr)
     return m
-
-
-def _magnitude_from_list(limbs: list[int]) -> DecimalMagnitude:
-    """Build a magnitude from a limb list that may start with zero limbs.
-    From _ARRAY_MIN_LIMBS limbs up, fromiter builds the kept array: 1.9 ms
-    at 55,556 limbs on a 2-vCPU Xeon, against 2.5 ms for np.array."""
-    n = len(limbs)
-    if n < _ARRAY_MIN_LIMBS:
-        return _magnitude_from_ints(canonical_limbs(limbs))
-    return _magnitude_from_padded(np.fromiter(limbs, np.int64, n))
-
-
-def _magnitude_from_padded(arr: np.ndarray) -> DecimalMagnitude:
-    """_magnitude_from_array for an int64 limb array that may start with
-    zero limbs.  Stripping them copies what is left, so that a short
-    result does not keep the stripped limbs alive."""
-    n = len(arr)
-    if n > 1 and arr[0] == 0:
-        nonzero = arr[:-1] != 0
-        arr = arr[int(nonzero.argmax()) if nonzero.any() else n - 1 :].copy()
-    return _magnitude_from_array(arr)
 
 
 def limb_array(m: DecimalMagnitude) -> np.ndarray:
@@ -192,21 +186,23 @@ def limb_array(m: DecimalMagnitude) -> np.ndarray:
     return arr
 
 
-def canonical_limbs(limbs: list[int]) -> tuple[int, ...]:
-    """Strip leading zero limbs, keeping at least one."""
+def canonical_limbs(limbs: list[int] | tuple[int, ...]) -> tuple[int, ...]:
+    """limbs as a tuple without leading zero limbs, keeping at least one;
+    limbs that start with no zero limb are copied once, not sliced first."""
     k = 0
     last = len(limbs) - 1
     while k < last and limbs[k] == 0:
         k += 1
-    return tuple(limbs[k:])
+    return tuple(limbs[k:]) if k else tuple(limbs)
 
 
 def parse_magnitude(s: str) -> DecimalMagnitude:
     """Parse a decimal digit string into limbs, most significant first.
 
     Limbs are the right-to-left 18-digit slices of the string; leading
-    zeros are absorbed so the result is canonical.  Only ASCII digits are
-    accepted; the first other character raises InvalidDigit.
+    zeros become zero limbs, which the array builder strips, so the result
+    is canonical.  Only ASCII digits are accepted; the first other
+    character raises InvalidDigit.
     """
     if len(s) == 0:
         raise EmptyInput("empty operand")
@@ -217,12 +213,9 @@ def parse_magnitude(s: str) -> DecimalMagnitude:
         for pos, ch in enumerate(s):
             if ch not in _DIGITS:
                 raise InvalidDigit(pos, ch)
-    raw = raw.lstrip(b"0")
-    if not raw:
-        return DecimalMagnitude((0,))
     raw = raw.rjust(-(-len(raw) // LIMB_DIGITS) * LIMB_DIGITS, b"0")
     digits = (np.frombuffer(raw, np.uint8) - ord("0")).reshape(-1, LIMB_DIGITS)
-    return _magnitude_from_array(digits.astype(np.int64) @ _DIGIT_WEIGHTS)
+    return _magnitude_from_padded(digits.astype(np.int64) @ _DIGIT_WEIGHTS)
 
 
 def format_magnitude(m: DecimalMagnitude) -> str:

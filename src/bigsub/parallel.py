@@ -21,7 +21,7 @@ numpy body handles larger frontiers.
 BorrowBoard, has_pending_borrows, initial_pass and borrow_pass are the
 same kernels seen through dense per-limb boards.  subtract_parallel uses
 none of them; they stay only because benchmark/replay.py imports them,
-and go when the benchmark follows the frontier (ROADMAP items 1 and 5).
+and go when the benchmark follows the frontier (ROADMAP items 1 and 2).
 """
 
 import threading

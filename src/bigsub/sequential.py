@@ -12,7 +12,7 @@ from .errors import BorrowExhausted, NegativeResult
 from .magnitude import (
     LIMB_BASE,
     DecimalMagnitude,
-    _magnitude_from_list,
+    _magnitude_from_ints,
     compare_magnitude,
     pad_to_length,
 )
@@ -69,4 +69,4 @@ def subtract_sequential(
     if ops is not None:
         ops.limb_subtractions += n
         ops.borrows += borrows
-    return _magnitude_from_list(work)
+    return _magnitude_from_ints(work)

@@ -66,11 +66,13 @@ def test_sub_verify_catches_a_faulty_parser(faulty_parse, a, b, monkeypatch, cap
 def test_sub_file_operands(tmp_path, capsys):
     fa = tmp_path / "a.txt"
     fb = tmp_path / "b.txt"
-    fa.write_text("1000\n")  # single trailing newline is allowed
     fb.write_text("1")
-    code, out, _ = run(capsys, "sub", "--a", f"@{fa}", "--b", f"@{fb}")
-    assert code == 0
-    assert out == "999\n"
+    # one trailing line end is allowed; text mode reads "\r\n" and "\r" as "\n"
+    for content in (b"1000\n", b"1000\r\n", b"1000\r"):
+        fa.write_bytes(content)
+        code, out, _ = run(capsys, "sub", "--a", f"@{fa}", "--b", f"@{fb}")
+        assert code == 0
+        assert out == "999\n"
 
 
 def test_sub_missing_file_is_input_error(tmp_path, capsys):

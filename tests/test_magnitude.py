@@ -6,7 +6,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bigsub import (
@@ -23,7 +23,12 @@ from bigsub import (
 )
 from bigsub.bench import gen_operand
 from bigsub.errors import LengthUnderflow
-from bigsub.magnitude import _magnitude_from_array, limb_array, pad_to_length
+from bigsub.magnitude import (
+    _magnitude_from_ints,
+    _magnitude_from_padded,
+    limb_array,
+    pad_to_length,
+)
 from bigsub.rng import SplitMix64
 
 B1 = LIMB_BASE - 1
@@ -35,12 +40,19 @@ def test_parse_splits_right_to_left():
 
 
 def test_parse_zero():
-    for length in (1, 4, 17, 18, 19, 36):
+    # 130 zero limbs cross the size from which the builder strips an array
+    for length in (1, 4, 17, 18, 19, 36, 130 * LIMB_DIGITS):
         assert parse_magnitude("0" * length).limbs == (0,)
 
 
 def test_parse_strips_leading_zeros():
     assert parse_magnitude("000123").limbs == (123,)
+    # 3 zero limbs before 126 limbs: the parsed array of 129 limbs strips
+    # below 128, so the magnitude keeps a tuple and no array
+    text = "9" * (126 * LIMB_DIGITS)
+    m = parse_magnitude("0" * (3 * LIMB_DIGITS) + text)
+    assert m == parse_magnitude(text) and m.limb_count == 126
+    assert m._array is None and str(m) == text
 
 
 def test_parse_empty_rejected():
@@ -147,15 +159,19 @@ def test_array_builder_names_an_inner_limb_out_of_range(count, bad):
     limbs = [1] + [B1] * (count - 2) + [0]
     limbs[count // 2] = bad
     with pytest.raises(ValueError, match=f"limb {bad} outside"):
-        _magnitude_from_array(np.array(limbs, dtype=np.int64))
+        _magnitude_from_padded(np.array(limbs, dtype=np.int64))
 
 
 def test_array_builder_rejects_what_the_constructor_rejects():
-    for limbs in ((), (0, 5), (LIMB_BASE,), (-1,)):
+    for limbs in ((), (LIMB_BASE,), (-1,)):
         with pytest.raises(ValueError) as want:
             DecimalMagnitude(limbs)
         with pytest.raises(ValueError, match=re.escape(str(want.value))):
-            _magnitude_from_array(np.array(limbs, dtype=np.int64))
+            _magnitude_from_padded(np.array(limbs, dtype=np.int64))
+    # a leading zero limb the builder strips, the constructor rejects
+    assert _magnitude_from_padded(np.array([0, 5], dtype=np.int64)) == DecimalMagnitude((5,))
+    with pytest.raises(ValueError, match="leading zero limb"):
+        DecimalMagnitude((0, 5))
 
 
 boundary_limbs = st.sampled_from([0, 1, 10**17, B1]) | st.integers(0, B1)
@@ -174,30 +190,45 @@ def assert_storage_by_size(m):
     assert (m._array is not None) == (m.limb_count >= 128)
 
 
+# 128 and 130 limbs that strip to 126 and 127, and 129 that strip to 128
+@example([1] * 126, 2)
+@example([B1] * 127, 3)
+@example([1] + [0] * 127, 1)
 @settings(deadline=None)
-@given(limb_lists(1, 200))
-def test_array_builder_agrees_with_the_constructor_at_limb_boundaries(limbs):
-    def build():
-        return _magnitude_from_array(np.array(limbs, dtype=np.int64))
-
+@given(limb_lists(1, 200), st.integers(0, 3))
+def test_array_builder_agrees_with_the_constructor_at_limb_boundaries(limbs, zeros):
+    # both builders strip the prepended zero limbs; storage follows the
+    # stripped limb count
+    padded = [0] * zeros + limbs
     given_ = DecimalMagnitude(limbs)
-    # each check runs on a fresh magnitude, before its limbs are first read
-    assert ("limbs" in build().__dict__) == (len(limbs) < 128)
-    assert build() == given_ and given_ == build()
-    assert hash(build()) == hash(given_)
-    assert repr(build()) == repr(given_)
-    built = build()
-    assert type(built.limbs) is tuple
-    assert all(type(limb) is int for limb in built.limbs)
-    for m in (built, given_):
-        assert_storage_by_size(m)
-        arr = limb_array(m)
-        assert arr.dtype == np.int64 and not arr.flags.writeable
-        assert tuple(arr.tolist()) == m.limbs
+    for build in (
+        lambda: _magnitude_from_padded(np.array(padded, dtype=np.int64)),
+        lambda: _magnitude_from_ints(padded),
+    ):
+        # each check runs on a fresh magnitude, before its limbs are first read
+        assert ("limbs" in build().__dict__) == (len(limbs) < 128)
+        assert build() == given_ and given_ == build()
+        assert hash(build()) == hash(given_)
+        assert repr(build()) == repr(given_)
         if len(limbs) >= 128:
-            assert limb_array(m) is arr
-        with pytest.raises(ValueError):
-            arr[0] = 1
+            # a stripped array is a copy that owns its memory
+            assert build()._array.base is None
+        built = build()
+        assert type(built.limbs) is tuple
+        assert all(type(limb) is int for limb in built.limbs)
+        check_limb_array(built)
+    check_limb_array(given_)
+
+
+def check_limb_array(m):
+    assert_storage_by_size(m)
+    arr = limb_array(m)
+    assert arr.dtype == np.int64 and not arr.flags.writeable
+    assert tuple(arr.tolist()) == m.limbs
+    if m.limb_count >= 128:
+        assert limb_array(m) is arr
+    with pytest.raises(ValueError):
+        arr[0] = 1
 
 
 @pytest.mark.parametrize("digits", [400, 127 * LIMB_DIGITS, 127 * LIMB_DIGITS + 1, 128 * LIMB_DIGITS + 5])
@@ -212,7 +243,7 @@ def test_parsed_and_subtracted_limb_arrays_are_read_only(digits):
         made += [subtract_parallel(x, y, 3)[0], subtract_sequential(x, y)]
     assert made[5].limb_count == -(-(digits - 1) // LIMB_DIGITS)
     limbs = list(a.limbs)
-    made += [DecimalMagnitude(limbs), _magnitude_from_array(np.array(limbs, dtype=np.int64))]
+    made += [DecimalMagnitude(limbs), _magnitude_from_padded(np.array(limbs, dtype=np.int64))]
     for m in made:
         assert_storage_by_size(m)
         arr = limb_array(m)
@@ -233,7 +264,7 @@ def test_format_paths_match_a_reference_at_every_lead_width(count):
         assert len(want) == width + LIMB_DIGITS * (count - 1)
         # from either builder, a magnitude renders with `%` below 128
         # limbs and renders the array it kept from 128 limbs up
-        built = _magnitude_from_array(np.array(limbs, dtype=np.int64))
+        built = _magnitude_from_padded(np.array(limbs, dtype=np.int64))
         for m in (DecimalMagnitude(limbs), built):
             assert format_magnitude(m) == want
             assert parse_magnitude(want) == m
@@ -298,10 +329,10 @@ def test_compare_of_kept_arrays_matches_integer_order(limbs, where, new_limb, mi
     if where != "none":
         i = {"first": 0, "middle": len(limbs) // 2, "last": len(limbs) - 1}[where]
         other[i] = max(new_limb, 1) if i == 0 else new_limb
-    x = _magnitude_from_array(np.array(limbs, dtype=np.int64))
+    x = _magnitude_from_padded(np.array(limbs, dtype=np.int64))
     # a mixed pair sets a constructor-built magnitude, which holds its
     # tuple too, against one that holds only its array
-    y = DecimalMagnitude(other) if mixed else _magnitude_from_array(np.array(other, dtype=np.int64))
+    y = DecimalMagnitude(other) if mixed else _magnitude_from_padded(np.array(other, dtype=np.int64))
     if swap:
         x, y = y, x
     vx, vy = _value(limb_array(x).tolist()), _value(limb_array(y).tolist())

@@ -60,33 +60,30 @@ def test_partition_covers_disjointly(n, w):
     assert max(sizes) - min(sizes) <= 1
 
 
-# ---- initial_pass --------------------------------------------------------
+# ---- initial_frontier ----------------------------------------------------
 
 
 def test_initial_pass_speculates_on_underflow():
     result = np.empty(2, dtype=np.int64)
-    board = np.zeros(2, dtype=np.uint8)
-    initial_pass(range(2), arr([5, 3]), arr([2, 9]), result, board)
+    frontier = initial_frontier(range(2), arr([5, 3]), arr([2, 9]), result)
     assert result.tolist() == [3, LIMB_BASE - 6]
-    assert board.tolist() == [1, 0]
+    assert frontier.tolist() == [0]
 
 
 def test_initial_pass_no_borrows():
     result = np.empty(2, dtype=np.int64)
-    board = np.zeros(2, dtype=np.uint8)
-    initial_pass(range(2), arr([7, 7]), arr([7, 7]), result, board)
+    frontier = initial_frontier(range(2), arr([7, 7]), arr([7, 7]), result)
     assert result.tolist() == [0, 0]
-    assert board.tolist() == [0, 0]
+    assert frontier.tolist() == []
 
 
 def test_initial_pass_borrow_out_of_low_limb():
     # the pass itself leaves the flagged high limb untouched; the pending
     # borrow is repaid in a later pass
     result = np.empty(2, dtype=np.int64)
-    board = np.zeros(2, dtype=np.uint8)
-    initial_pass(range(2), arr([9, 0]), arr([0, 1]), result, board)
+    frontier = initial_frontier(range(2), arr([9, 0]), arr([0, 1]), result)
     assert result.tolist() == [9, B1]
-    assert board.tolist() == [1, 0]
+    assert frontier.tolist() == [0]
     # end to end the same operands give 9*10^18 - 1
     got, _ = subtract_parallel(parse_magnitude("9" + "0" * 18), parse_magnitude("1"), 2)
     assert format_magnitude(got) == "8" + "9" * 18
@@ -95,61 +92,51 @@ def test_initial_pass_borrow_out_of_low_limb():
 def test_initial_pass_speculative_limb_value():
     # low limbs 88 - 99 borrow from the limb above: 10^18 + 88 - 99
     result = np.empty(2, dtype=np.int64)
-    board = np.zeros(2, dtype=np.uint8)
-    initial_pass(range(2), arr([1, 88]), arr([0, 99]), result, board)
+    frontier = initial_frontier(range(2), arr([1, 88]), arr([0, 99]), result)
     assert result[1] == 999999999999999989
-    assert board.tolist() == [1, 0]
+    assert frontier.tolist() == [0]
 
 
 def test_initial_pass_underflow_at_top_limb_raises():
     result = np.empty(2, dtype=np.int64)
-    board = np.zeros(2, dtype=np.uint8)
     with pytest.raises(BorrowExhausted):
-        initial_pass(range(2), arr([3, 9]), arr([5, 1]), result, board)
+        initial_frontier(range(2), arr([3, 9]), arr([5, 1]), result)
 
 
-# ---- borrow_pass ---------------------------------------------------------
+# ---- resolve_frontier ----------------------------------------------------
 
 
 def test_borrow_pass_simple_decrement():
     result = arr([4, 0, 5])
-    write = np.zeros(3, dtype=np.uint8)
-    borrow_pass(range(3), result, arr([0, 0, 1], np.uint8), write)
+    following = resolve_frontier(result, arr([2]))
     assert result.tolist() == [4, 0, 4]
-    assert write.tolist() == [0, 0, 0]
+    assert following.tolist() == []
 
 
 def test_borrow_pass_ripples_through_zero_limbs():
     result = arr([4, 0, 0])
-    read = arr([0, 0, 1], np.uint8)
-    write = np.zeros(3, dtype=np.uint8)
-    borrow_pass(range(3), result, read, write)
+    frontier = resolve_frontier(result, arr([2]))
     assert result.tolist() == [4, 0, B1]
-    assert write.tolist() == [0, 1, 0]
-    read, write = write, read
-    write[:] = 0
-    borrow_pass(range(3), result, read, write)
+    assert frontier.tolist() == [1]
+    frontier = resolve_frontier(result, frontier)
     assert result.tolist() == [4, B1, B1]
-    assert write.tolist() == [1, 0, 0]
-    read, write = write, read
-    write[:] = 0
-    borrow_pass(range(3), result, read, write)
+    assert frontier.tolist() == [0]
+    frontier = resolve_frontier(result, frontier)
     assert result.tolist() == [3, B1, B1]
-    assert write.tolist() == [0, 0, 0]
+    assert frontier.tolist() == []
 
 
 def test_borrow_pass_clean_board_is_fixed_point():
     result = arr([4, 0, 0])
-    write = np.zeros(3, dtype=np.uint8)
-    borrow_pass(range(3), result, np.zeros(3, dtype=np.uint8), write)
+    following = resolve_frontier(result, arr([]))
     assert result.tolist() == [4, 0, 0]
-    assert write.tolist() == [0, 0, 0]
+    assert following.tolist() == []
 
 
 def test_borrow_pass_emission_past_top_limb_raises():
     result = arr([0, 5])
     with pytest.raises(BorrowExhausted):
-        borrow_pass(range(2), result, arr([1, 0], np.uint8), np.zeros(2, dtype=np.uint8))
+        resolve_frontier(result, arr([0]))
 
 
 @st.composite
