@@ -1,8 +1,8 @@
 """Big-integer decimal subtraction over base-10^18 limbs.
 
-Two interchangeable algorithms: a single-worker left-scan subtraction
-and a multi-worker speculative-borrow scheme, whose chunks subtract in
-threads of their own and whose borrows are then resolved over
+Two interchangeable algorithms: a single-worker subtraction that carries
+one borrow bit, and a multi-worker speculative-borrow scheme, whose chunks
+subtract in threads of their own and whose borrows are then resolved over
 double-buffered passes.  A digit-wise reference implementation and a
 benchmark CLI round out the package.
 

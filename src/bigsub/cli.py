@@ -66,7 +66,9 @@ def digit_lengths(text: str) -> list[int]:
 
 def _read_operand(text: str) -> str:
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="ascii") as fh:
+        # a non-ASCII byte becomes a lone surrogate, which parse_magnitude
+        # reports as an invalid digit, as it would in a literal operand
+        with open(text[1:], "r", encoding="ascii", errors="surrogateescape") as fh:
             text = fh.read()
         if text.endswith("\n"):
             text = text[:-1]
@@ -174,7 +176,7 @@ def main(argv=None) -> int:
         code, message = EXIT_NEGATIVE, "result would be negative"
     except VerificationFailure as exc:
         code, message = EXIT_VERIFY, str(exc)
-    except (EmptyInput, InvalidDigit, UnicodeDecodeError, OSError, MemoryError) as exc:
+    except (EmptyInput, InvalidDigit, OSError, MemoryError) as exc:
         code, message = EXIT_INPUT, str(exc)
     except RuntimeError as exc:
         # Thread.start raises a plain RuntimeError when no thread can

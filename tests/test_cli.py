@@ -109,6 +109,7 @@ def test_usage_error_exit_1(capsys):
         ["bench", "--workers", "0", "--digits", "100"],
         ["sub", "--a", "5", "--b", "3", "--parallel", "--workers", "0"],
         ["sub", "--a", "@{non_ascii}", "--b", "1"],
+        ["sub", "--a", "@{late_non_ascii}", "--b", "1"],
         ["bench", "--digits", "100", "--csv", "{tmp}/no-such-dir/x.csv"],
         ["bench", "--digits", "100", "--csv", "{tmp}"],
         # numpy refuses this length before allocating; never test lengths
@@ -122,17 +123,24 @@ def test_usage_error_exit_1(capsys):
     ],
     ids=[
         "bench-runs-0", "bench-workers-0", "sub-parallel-workers-0", "sub-non-ascii-file",
-        "bench-csv-missing-dir", "bench-csv-is-a-directory", "bench-digits-too-long",
-        "bench-csv-write-fails",
+        "sub-non-ascii-after-digits", "bench-csv-missing-dir", "bench-csv-is-a-directory",
+        "bench-digits-too-long", "bench-csv-write-fails",
     ],
 )
 def test_bad_input_is_one_line_exit_1(argv, tmp_path, capsys):
     non_ascii = tmp_path / "bad.txt"
     non_ascii.write_bytes(b"\xff\xfe")
-    code, _, err = run(capsys, *(a.format(non_ascii=non_ascii, tmp=tmp_path) for a in argv))
+    late_non_ascii = tmp_path / "late.txt"
+    late_non_ascii.write_bytes(b"12\xff3")
+    paths = {"non_ascii": non_ascii, "late_non_ascii": late_non_ascii, "tmp": tmp_path}
+    code, _, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 1
     assert err.count("error:") == 1
     assert "Traceback" not in err
+    if "@{non_ascii}" in argv:
+        assert "invalid digit" in err and "position" in err
+    if "@{late_non_ascii}" in argv:
+        assert "invalid digit" in err and "position 2" in err
     if "/dev/full" in argv:
         assert "/dev/full" in err
 

@@ -1,22 +1,32 @@
 """One-pass borrow resolution vs a re-scan reference.
 
-The production subtraction resolves a borrow in a single leftward sweep.
-The reference below instead deposits 10^18 one limb at a time and
-re-checks the underflow condition from scratch, the most literal
-rendition of pencil-and-paper borrowing.  Both must produce identical
-limbs on any valid input.
+The production subtraction carries one borrow bit in a single
+right-to-left sweep.  The reference below instead deposits 10^18 one limb
+at a time and re-checks the underflow condition from scratch, the most
+literal rendition of pencil-and-paper borrowing.  Both must produce
+identical limbs on any valid input, and the limbs where the reference has
+to borrow at all are the borrows the production sweep counts.
 """
 
-from bigsub import LIMB_BASE, parse_magnitude, subtract_sequential
+from bigsub import LIMB_BASE, OpCount, parse_magnitude, subtract_sequential
 from bigsub.magnitude import pad_to_length
 from bigsub.rng import SplitMix64
+from bigsub.selftest import directed_pairs, random_pairs
 
 
 def subtract_rescan(a_limbs: list[int], b_limbs: list[int]) -> list[int]:
     """Reference subtraction over equal-length aligned limb lists (a >= b)."""
+    return rescan(a_limbs, b_limbs)[0]
+
+
+def rescan(a_limbs: list[int], b_limbs: list[int]) -> tuple[list[int], int]:
+    """The re-scan listing: result limbs, and the number of limbs whose
+    underflow loop runs at least once."""
     work = list(a_limbs)
     result = [0] * len(work)
+    borrows = 0
     for i in range(len(work) - 1, -1, -1):
+        borrows += work[i] < b_limbs[i]
         while work[i] < b_limbs[i]:
             k = i - 1
             while True:
@@ -27,7 +37,7 @@ def subtract_rescan(a_limbs: list[int], b_limbs: list[int]) -> list[int]:
                     break
                 k -= 1
         result[i] = work[i] - b_limbs[i]
-    return result
+    return result, borrows
 
 
 def forced_borrow_pairs(count: int, seed: int):
@@ -57,3 +67,18 @@ def test_one_pass_matches_rescan_semantics():
         assert tuple(want[k:]) == got.limbs
         checked += 1
     assert checked == 1000
+
+
+def test_borrow_count_equals_rescan_underflow_limbs():
+    pairs = (
+        list(forced_borrow_pairs(1000, 0x5EED))
+        + directed_pairs()
+        + random_pairs(1000, 2000, 0xB0440)
+    )
+    for a_text, b_text in pairs:
+        a = parse_magnitude(a_text)
+        b = parse_magnitude(b_text)
+        _, want = rescan(list(a.limbs), pad_to_length(b, a.limb_count))
+        ops = OpCount()
+        subtract_sequential(a, b, ops)
+        assert ops.borrows == want, (a_text, b_text)

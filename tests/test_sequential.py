@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from bigsub import (
     LIMB_BASE,
-    BorrowExhausted,
     DecimalMagnitude,
     NegativeResult,
     OpCount,
@@ -13,7 +12,9 @@ from bigsub import (
     subtract_digitwise,
     subtract_sequential,
 )
-from bigsub.sequential import borrow_from_left
+from bigsub.magnitude import _magnitude_from_ints
+
+from test_int_oracle import limbs_value
 
 B1 = LIMB_BASE - 1
 
@@ -53,42 +54,28 @@ def test_inputs_not_mutated():
     assert b.limbs == (B1,)
 
 
-def test_borrow_from_left_ripples_across_zeros():
-    work = [5, 0, 0, 3]
-    borrow_from_left(work, 3)
-    assert work == [4, B1, B1, LIMB_BASE + 3]
+def test_borrow_from_adjacent_limb():
+    result = subtract_sequential(DecimalMagnitude((2, 7)), DecimalMagnitude((8,)))
+    assert result.limbs == (1, B1)
 
 
-def test_borrow_from_left_adjacent():
-    work = [2, 7]
-    borrow_from_left(work, 1)
-    assert work == [1, LIMB_BASE + 7]
+def test_borrow_drains_top_limb():
+    # the emptied lead limb is stripped
+    result = subtract_sequential(DecimalMagnitude((1, 0)), DecimalMagnitude((1,)))
+    assert result.limbs == (B1,)
 
 
-def test_borrow_from_left_drains_top_limb():
-    work = [1, 0]
-    borrow_from_left(work, 1)
-    assert work == [0, LIMB_BASE]
+limb_lists = st.lists(st.integers(min_value=0, max_value=B1), min_size=1, max_size=12)
 
 
-def test_borrow_from_left_exhausted():
-    with pytest.raises(BorrowExhausted):
-        borrow_from_left([0, 0, 3], 2)
-
-
-limb_lists = st.lists(st.integers(min_value=0, max_value=B1), min_size=2, max_size=12)
-
-
-@given(limb_lists, st.data())
-def test_borrow_from_left_preserves_value_and_bounds(work, data):
-    i = data.draw(st.integers(min_value=1, max_value=len(work) - 1))
-    if all(v == 0 for v in work[:i]):
-        work[0] = 1 + work[0]
-    before = sum(v * LIMB_BASE ** (len(work) - 1 - j) for j, v in enumerate(work))
-    borrow_from_left(work, i)
-    after = sum(v * LIMB_BASE ** (len(work) - 1 - j) for j, v in enumerate(work))
-    assert before == after
-    assert all(v < 2 * LIMB_BASE for v in work)
+@given(limb_lists, limb_lists)
+def test_random_limb_lists_match_python_int(x, y):
+    if limbs_value(x) < limbs_value(y):
+        x, y = y, x
+    a, b = _magnitude_from_ints(x), _magnitude_from_ints(y)
+    result = subtract_sequential(a, b)
+    assert limbs_value(result.limbs) == limbs_value(x) - limbs_value(y)
+    assert all(0 <= v < LIMB_BASE for v in result.limbs)
 
 
 ints = st.integers(min_value=0, max_value=10**300)
@@ -112,6 +99,17 @@ def test_identities(x):
     s = str(x)
     assert sub(s, "0") == s
     assert sub(s, s) == "0"
+
+
+@given(ints, ints, st.integers(min_value=0, max_value=3), st.data())
+def test_final_borrow_is_the_sign(x, gap, extra_limbs, data):
+    # y > x; with extra_limbs > 0, y has more limbs than x
+    low = data.draw(st.integers(min_value=0, max_value=LIMB_BASE**extra_limbs - 1))
+    y = (x + 1 + gap) * LIMB_BASE**extra_limbs + low
+    ops = OpCount()
+    with pytest.raises(NegativeResult):
+        subtract_sequential(parse_magnitude(str(x)), parse_magnitude(str(y)), ops)
+    assert ops == OpCount()
 
 
 def test_result_limbs_in_range():
