@@ -7,16 +7,18 @@ corrects the limb by +10^18, and flags the next more significant limb.
 Resolution passes then run in the calling thread, consuming the flagged
 borrows and possibly flagging new ones, until no flag is left.
 
-The flags are held as a frontier: the sorted array of flagged limb
-indices.  In the initial pass each chunk writes only its own result limbs
+The flags are held as a frontier: the sorted flagged limb indices.  In
+the initial pass each chunk writes only its own result limbs
 and its own part of the frontier, and the parts joined in chunk order are
 the whole frontier.  The borrows are double-buffered: a resolution pass
 reads the frontier the previous pass wrote and builds a new one for the
 next pass, so the outcome is independent of the chunk count and of the
 order chunks run in, and a pass costs what it flags, not what the number
-has.  A pass over a few flags (a ripple's one, say) runs limb by limb on
-Python ints, since numpy's fixed cost per call would dominate it; the
-numpy body handles larger frontiers.
+has.  A large frontier is an int64 array, resolved by numpy.  A frontier
+of a few flags (a ripple's one, say) is a list of Python ints, resolved
+limb by limb, since numpy's fixed cost per call would dominate it.  A
+pass raises at most one flag per flag it reads, so a frontier never
+grows: once a list, it stays one for the rest of the call.
 
 BorrowBoard, has_pending_borrows, initial_pass and borrow_pass are the
 same kernels seen through dense per-limb boards.  subtract_parallel uses
@@ -106,28 +108,43 @@ def initial_frontier(
     return _lend(out, s, (out < 0).nonzero()[0])
 
 
-# Frontiers of at most this many flags are resolved limb by limb on Python
-# ints, larger ones by numpy, whose fixed cost of a few µs per pass only
-# pays off above it.  One pass, half of the flagged limbs zero, pinned to one
-# CPU of a 2-vCPU Xeon (Python 3.11.7, numpy 2.4.6), Python against numpy:
-# 0.7-0.9 / 4.4-4.8 / 5.6-5.9 / 8.1-8.6 µs against 6.6 / 4.9-5.4 / 5.1-5.2 /
-# 5.4-5.6 µs at 1 / 16 / 20 / 32 flags.
+# Frontiers of at most this many flags are lists resolved limb by limb on
+# Python ints, larger ones arrays resolved by numpy, whose fixed cost of a
+# few µs per pass only pays off above it.  One pass, half of the flagged
+# limbs zero, medians of 21 rounds pinned to either CPU of a 2-vCPU Xeon
+# (Python 3.11.7, numpy 2.4.6), the list body against the array body:
+# 0.5-1.1 / 3.7-5.1 / 4.5-6.1 / 5.6-6.0 / 11.9-12.7 µs against
+# 3.8-6.3 / 5.1-7.4 / 5.0-7.3 / 5.2-5.6 / 9.2-9.8 µs at 1 / 16 / 20 / 24 /
+# 32 flags.  So the bodies cross at 20-24 flags; passes of 17-20 flags,
+# 1-2 µs apart, are left to numpy.
 _FEW_FLAGS = 16
 
 
-def resolve_frontier(result_limbs: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+def resolve_frontier(
+    result_limbs: np.ndarray, frontier: np.ndarray | list[int]
+) -> np.ndarray | list[int]:
     """Resolution pass: apply the borrows at `frontier`, the sorted unique
     limb indices the previous pass flagged, and return the next frontier.
 
     A flagged limb is decremented; a flagged zero limb becomes 10^18 - 1
     and passes the borrow further left, or raises BorrowExhausted at limb
     0.  Unflagged limbs are untouched.
+
+    The frontier may be an int64 array or a list.  The next one is a list
+    of Python ints when it has at most _FEW_FLAGS entries, else an int64
+    array.  A pass raises at most one flag per flag it reads, so a
+    frontier never grows, and once a list it stays one.
     """
-    if frontier.size > _FEW_FLAGS:
+    if len(frontier) > _FEW_FLAGS:
+        frontier = np.asarray(frontier, dtype=np.int64)
         result_limbs[frontier] -= 1
-        return _lend(result_limbs, 0, frontier[result_limbs[frontier] < 0])
+        following = _lend(result_limbs, 0, frontier[result_limbs[frontier] < 0])
+        return following if following.size > _FEW_FLAGS else following.tolist()
+    # a type check costs a fraction of isinstance's on a pass this short
+    if type(frontier) is not list:
+        frontier = frontier.tolist()
     following = []
-    for i in frontier.tolist():
+    for i in frontier:
         limb = result_limbs.item(i)
         if limb:
             result_limbs[i] = limb - 1
@@ -136,7 +153,7 @@ def resolve_frontier(result_limbs: np.ndarray, frontier: np.ndarray) -> np.ndarr
             following.append(i - 1)
         else:
             raise BorrowExhausted(0)
-    return np.array(following, dtype=np.int64)
+    return following
 
 
 class BorrowBoard:
@@ -187,8 +204,10 @@ def subtract_parallel(
     Returns the difference (bit-identical to subtract_sequential for any
     worker count) and the pass statistics.  Each chunk's initial pass
     runs in a thread of its own, and the first exception raised there is
-    re-raised here.  The resolution passes run in the calling thread;
-    total passes are hard-capped at the limb count, beyond which
+    re-raised here.  The resolution passes run in the calling thread.
+    Their frontier is a list of Python ints whenever it holds at most
+    _FEW_FLAGS flags, and an int64 array otherwise.  Total passes are
+    hard-capped at the limb count, beyond which
     IterationLimitExceeded signals corruption.
     """
     n = a.limb_count
@@ -230,8 +249,10 @@ def subtract_parallel(
         raise failures.pop()
     # chunk order keeps the concatenated parts sorted and unique
     frontier = np.concatenate(parts)
+    if len(frontier) <= _FEW_FLAGS:
+        frontier = frontier.tolist()
     passes = 1
-    while frontier.size:
+    while len(frontier):
         if passes >= n:
             raise IterationLimitExceeded(
                 f"borrows still pending after {passes} passes over {n} limbs"

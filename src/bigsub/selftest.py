@@ -8,7 +8,7 @@ the parallel scheme on its extreme inputs.
 from .bench import gen_ordered_pair
 from .magnitude import format_magnitude, parse_magnitude
 from .oracle import subtract_digitwise
-from .parallel import subtract_parallel
+from .parallel import _FEW_FLAGS, subtract_parallel
 from .rng import SplitMix64
 from .sequential import subtract_sequential
 
@@ -18,8 +18,9 @@ _WORKER_CYCLE = (1, 2, 3, 4, 8)
 
 def directed_pairs() -> list[tuple[str, str]]:
     """Borrow-chain stress cases, each with a >= b: power-of-ten ripples,
-    long zero runs, equal operands, zero subtrahends, all-nines and
-    limb-boundary lengths.  Shared with the acceptance suite."""
+    long zero runs, equal operands, zero subtrahends, all-nines,
+    limb-boundary lengths and independent borrow chains of many lengths.
+    Shared with the acceptance suite."""
     pairs = [
         ("1" + "0" * 54, "1"),
         ("1" + "0" * 90, "9" * 18),
@@ -40,6 +41,15 @@ def directed_pairs() -> list[tuple[str, str]]:
         pairs.append(("1" + "0" * k, "9" * k))  # 10^k - (10^k - 1)
         pairs.append(("9" * (k + 1), "9" * (k + 1)))  # equal
         pairs.append(("9" * (k + 1), "0"))  # b = 0
+    # 2 * _FEW_FLAGS independent borrow chains, each a 1 limb above z zero
+    # limbs with the subtrahend's 1 under the last, in both orders: the
+    # frontier starts above _FEW_FLAGS and loses one chain a pass, so a
+    # parallel call runs both resolution kernels and switches between them
+    chains = list(range(1, 2 * _FEW_FLAGS + 1))
+    for lengths in (chains, chains[::-1]):
+        a = "".join("%018d" % 1 + "0" * (18 * z) for z in lengths)
+        b = "".join("0" * (18 * z) + "%018d" % 1 for z in lengths)
+        pairs.append((a.lstrip("0"), b.lstrip("0")))
     return list(dict.fromkeys(pairs))
 
 

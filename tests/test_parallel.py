@@ -110,27 +110,27 @@ def test_borrow_pass_simple_decrement():
     result = arr([4, 0, 5])
     following = resolve_frontier(result, arr([2]))
     assert result.tolist() == [4, 0, 4]
-    assert following.tolist() == []
+    assert list(following) == []
 
 
 def test_borrow_pass_ripples_through_zero_limbs():
     result = arr([4, 0, 0])
     frontier = resolve_frontier(result, arr([2]))
     assert result.tolist() == [4, 0, B1]
-    assert frontier.tolist() == [1]
+    assert list(frontier) == [1]
     frontier = resolve_frontier(result, frontier)
     assert result.tolist() == [4, B1, B1]
-    assert frontier.tolist() == [0]
+    assert list(frontier) == [0]
     frontier = resolve_frontier(result, frontier)
     assert result.tolist() == [3, B1, B1]
-    assert frontier.tolist() == []
+    assert list(frontier) == []
 
 
 def test_borrow_pass_clean_board_is_fixed_point():
     result = arr([4, 0, 0])
     following = resolve_frontier(result, arr([]))
     assert result.tolist() == [4, 0, 0]
-    assert following.tolist() == []
+    assert list(following) == []
 
 
 def test_borrow_pass_emission_past_top_limb_raises():
@@ -194,8 +194,37 @@ def test_borrow_pass_matches_a_per_limb_model(limbs_and_flags, w):
     assert read.tolist() == [int(f) for f in flags]
     following = resolve_frontier(sparse, frontier)
     assert sparse.tolist() == want
-    assert following.tolist() == np.flatnonzero(want_write).tolist()
+    assert list(following) == np.flatnonzero(want_write).tolist()
     assert frontier.tolist() == np.flatnonzero(flags).tolist()
+
+
+# a pass over _FEW_FLAGS flags, over one more, and over one more all of
+# whose limbs are zero, so that it returns an array
+@example(exactly_flagged(_FEW_FLAGS, False), False)
+@example(exactly_flagged(_FEW_FLAGS, False), True)
+@example(exactly_flagged(_FEW_FLAGS + 1, False), False)
+@example(exactly_flagged(_FEW_FLAGS + 1, False), True)
+@example(([1] + [0] * (_FEW_FLAGS + 1), [False] + [True] * (_FEW_FLAGS + 1)), False)
+@example(([1] + [0] * (_FEW_FLAGS + 1), [False] + [True] * (_FEW_FLAGS + 1)), True)
+@given(flagged_limbs(), st.booleans())
+def test_frontier_never_grows_and_is_a_list_once_small(limbs_and_flags, as_list):
+    limbs, flags = limbs_and_flags
+    frontier = np.flatnonzero(flags)
+    if as_list:
+        frontier = frontier.tolist()
+    try:
+        following = resolve_frontier(arr(limbs), frontier)
+    except BorrowExhausted:
+        assert flags[0] and not limbs[0]
+        return
+    assert len(following) <= len(frontier)
+    got = list(following)
+    assert got == sorted(set(got))
+    if len(following) <= _FEW_FLAGS:
+        assert type(following) is list
+        assert all(type(i) is int for i in following)
+    else:
+        assert isinstance(following, np.ndarray) and following.dtype == np.int64
 
 
 # ---- has_pending_borrows -------------------------------------------------
@@ -259,10 +288,11 @@ def test_one_call_runs_both_resolution_kernels(monkeypatch):
     a_text, b_text = ("".join("%018d" % x for x in limbs).lstrip("0") for limbs in (a_limbs, b_limbs))
     a, b = parse_magnitude(a_text), parse_magnitude(b_text)
     real_resolve = par_mod.resolve_frontier
-    sizes = []
+    sizes, listed = [], []
 
     def recording_resolve_frontier(result, frontier):
-        sizes.append(frontier.size)
+        sizes.append(len(frontier))
+        listed.append(isinstance(frontier, list))
         return real_resolve(result, frontier)
 
     monkeypatch.setattr(par_mod, "resolve_frontier", recording_resolve_frontier)
@@ -270,10 +300,14 @@ def test_one_call_runs_both_resolution_kernels(monkeypatch):
     assert format_magnitude(want) == subtract_digitwise(a_text, b_text)
     for w in (1, 2, 3, 8):
         sizes.clear()
+        listed.clear()
         result, stats = subtract_parallel(a, b, w)
         assert result.limbs == want.limbs
         assert stats.iterations == 1 + max(lengths)
         assert sizes[0] > _FEW_FLAGS >= sizes[-1]
+        # the frontier never grows, and turns from an array into a list once
+        assert sizes == sorted(sizes, reverse=True)
+        assert listed == sorted(listed) and not listed[0] and listed[-1]
 
 
 def test_best_case_single_iteration():
@@ -489,7 +523,7 @@ def test_initial_passes_run_in_chunk_threads_and_borrow_passes_in_the_caller(mon
         return real_initial(chunk, *args)
 
     def recording_resolve_frontier(result, frontier):
-        seen.append(("borrow", frontier.tolist(), threading.current_thread().name))
+        seen.append(("borrow", list(frontier), threading.current_thread().name))
         return real_resolve(result, frontier)
 
     monkeypatch.setattr(par_mod, "initial_frontier", recording_initial_frontier)
@@ -558,7 +592,7 @@ def test_limb_range_holds_after_every_pass():
     while has_pending_borrows(write):
         assert ((result >= 0) & (result < LIMB_BASE)).all()
         assert (sparse == result).all()
-        assert frontier.tolist() == np.flatnonzero(write).tolist()
+        assert list(frontier) == np.flatnonzero(write).tolist()
         read, write = write, read
         write[:] = 0
         for c in chunks:
@@ -569,7 +603,7 @@ def test_limb_range_holds_after_every_pass():
     assert ((result >= 0) & (result < LIMB_BASE)).all()
     assert passes == n
     assert result.tolist() == [0] + [B1] * (n - 1)
-    assert frontier.size == 0 and (sparse == result).all()
+    assert len(frontier) == 0 and (sparse == result).all()
 
 
 def test_single_writer_discipline():
