@@ -4,7 +4,9 @@ Two interchangeable algorithms: a single-worker subtraction that carries
 one borrow bit, and a multi-worker speculative-borrow scheme, whose chunks
 subtract in threads of their own and whose borrows are then resolved over
 double-buffered passes.  A digit-wise reference implementation and a
-benchmark CLI round out the package.
+benchmark CLI round out the package.  All three read the sign from the
+borrow: one left over past the most significant limb or digit means
+a < b and raises NegativeResult.
 
 The top level holds what a library caller needs: the codec, the three
 algorithms, their result types and the errors they raise.  The kernel
@@ -12,7 +14,6 @@ pieces of the chunked passes stay in `bigsub.parallel`.
 """
 
 from .errors import (
-    BorrowExhausted,
     EmptyInput,
     InvalidDigit,
     IterationLimitExceeded,
@@ -33,7 +34,6 @@ from .sequential import OpCount, subtract_sequential
 __version__ = "0.1.0"
 
 __all__ = [
-    "BorrowExhausted",
     "DecimalMagnitude",
     "EmptyInput",
     "InvalidDigit",

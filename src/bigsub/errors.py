@@ -22,18 +22,6 @@ class NegativeResult(ArithmeticError):
     """Raised when the subtrahend exceeds the minuend."""
 
 
-class BorrowExhausted(ArithmeticError):
-    """Raised when a borrow would have to come from beyond the most-significant limb.
-
-    With the minuend >= subtrahend precondition enforced, this signals
-    internal corruption rather than a user error.
-    """
-
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"no limb left of index {index} can provide a borrow")
-
-
 class IterationLimitExceeded(RuntimeError):
     """Raised when the parallel scheme exceeds its hard cap of passes."""
 

@@ -20,6 +20,10 @@ limb by limb, since numpy's fixed cost per call would dominate it.  A
 pass raises at most one flag per flag it reads, so a frontier never
 grows: once a list, it stays one for the rest of the call.
 
+A borrow out of limb 0, the most significant, has no limb to land in: it
+happens iff a < b, and either pass raises NegativeResult there.  So, as
+in the sequential algorithm, the sign needs no comparison up front.
+
 BorrowBoard, has_pending_borrows, initial_pass and borrow_pass are the
 same kernels seen through dense per-limb boards.  subtract_parallel uses
 none of them; they stay only because benchmark/replay.py imports them,
@@ -31,12 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BorrowExhausted, IterationLimitExceeded, NegativeResult
+from .errors import IterationLimitExceeded, NegativeResult
 from .magnitude import (
     LIMB_BASE,
     DecimalMagnitude,
     _magnitude_from_padded,
-    compare_magnitude,
     limb_array,
 )
 
@@ -81,10 +84,11 @@ def partition_limbs(limb_count: int, workers: int) -> list[range]:
 def _lend(out: np.ndarray, start: int, under: np.ndarray) -> np.ndarray:
     """Add 10^18 to the limbs of chunk `out`, which starts at limb `start`,
     at the ascending offsets `under`, and return the global indices of
-    their left neighbours, sorted: the flags they raise."""
+    their left neighbours, sorted: the flags they raise.  Limb 0 has no
+    left neighbour, so its underflow means a < b and raises NegativeResult."""
     if under.size:
         if start == 0 and under[0] == 0:
-            raise BorrowExhausted(0)
+            raise NegativeResult("minuend is smaller than subtrahend")
         out[under] += _BASE64
     return under + (start - 1)
 
@@ -100,7 +104,7 @@ def initial_frontier(
     Underflowing limbs get +10^18 and flag their left neighbour.  Returns
     the chunk's part of the frontier, sorted and unique, inside
     [chunk.start - 1, chunk.stop - 1).  An underflow at limb 0 has no
-    neighbour to flag and raises BorrowExhausted.
+    neighbour to flag: it means a < b and raises NegativeResult.
     """
     s, e = chunk.start, chunk.stop
     out = result_limbs[s:e]
@@ -127,8 +131,8 @@ def resolve_frontier(
     limb indices the previous pass flagged, and return the next frontier.
 
     A flagged limb is decremented; a flagged zero limb becomes 10^18 - 1
-    and passes the borrow further left, or raises BorrowExhausted at limb
-    0.  Unflagged limbs are untouched.
+    and passes the borrow further left; at limb 0 that means a < b and
+    raises NegativeResult.  Unflagged limbs are untouched.
 
     The frontier may be an int64 array or a list.  The next one is a list
     of Python ints when it has at most _FEW_FLAGS entries, else an int64
@@ -152,7 +156,7 @@ def resolve_frontier(
             result_limbs[i] = LIMB_BASE - 1
             following.append(i - 1)
         else:
-            raise BorrowExhausted(0)
+            raise NegativeResult("minuend is smaller than subtrahend")
     return following
 
 
@@ -199,7 +203,8 @@ def subtract_parallel(
     b: DecimalMagnitude,
     workers: int,
 ) -> tuple[DecimalMagnitude, IterationStats]:
-    """Compute a - b over `workers` limb chunks; requires a >= b.
+    """Compute a - b over `workers` limb chunks; raises NegativeResult
+    when a < b.
 
     Returns the difference (bit-identical to subtract_sequential for any
     worker count) and the pass statistics.  Each chunk's initial pass
@@ -212,7 +217,9 @@ def subtract_parallel(
     """
     n = a.limb_count
     chunks = partition_limbs(n, workers)
-    if compare_magnitude(a, b) < 0:
+    # magnitudes are canonical, so a longer b is a larger one; otherwise
+    # a < b shows as a borrow out of limb 0
+    if b.limb_count > n:
         raise NegativeResult("minuend is smaller than subtrahend")
     a_arr = limb_array(a)
     b_arr = np.zeros(n, dtype=np.int64)
@@ -249,8 +256,6 @@ def subtract_parallel(
         raise failures.pop()
     # chunk order keeps the concatenated parts sorted and unique
     frontier = np.concatenate(parts)
-    if len(frontier) <= _FEW_FLAGS:
-        frontier = frontier.tolist()
     passes = 1
     while len(frontier):
         if passes >= n:

@@ -100,6 +100,20 @@ def test_run_bench_verify_catches_bad_results(monkeypatch):
     assert "digits=20" in str(err.value)
 
 
+def test_run_bench_verify_catches_bad_parallel_results(monkeypatch):
+    real_subtract_parallel = bench.subtract_parallel
+
+    def broken(a, b, workers):
+        _, stats = real_subtract_parallel(a, b, workers)
+        return DecimalMagnitude((41,)), stats
+
+    monkeypatch.setattr(bench, "subtract_parallel", broken)
+    with pytest.raises(VerificationFailure) as err:
+        run_bench(BenchCase(20, 1, 2, 123), verify=True)
+    assert "parallel run 1" in str(err.value)
+    assert "seed=123" in str(err.value)
+
+
 def test_csv_shape():
     rows = run_bench(BenchCase(100, 2, 2, 9), emit_hash=True)
     text = rows_to_csv(rows)

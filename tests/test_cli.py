@@ -110,6 +110,8 @@ def test_usage_error_exit_1(capsys):
         ["sub", "--a", "5", "--b", "3", "--parallel", "--workers", "0"],
         ["sub", "--a", "@{non_ascii}", "--b", "1"],
         ["sub", "--a", "@{late_non_ascii}", "--b", "1"],
+        # only one trailing newline is stripped; the second is a digit
+        ["sub", "--a", "@{two_newlines}", "--b", "1"],
         ["bench", "--digits", "100", "--csv", "{tmp}/no-such-dir/x.csv"],
         ["bench", "--digits", "100", "--csv", "{tmp}"],
         # numpy refuses this length before allocating; never test lengths
@@ -123,8 +125,8 @@ def test_usage_error_exit_1(capsys):
     ],
     ids=[
         "bench-runs-0", "bench-workers-0", "sub-parallel-workers-0", "sub-non-ascii-file",
-        "sub-non-ascii-after-digits", "bench-csv-missing-dir", "bench-csv-is-a-directory",
-        "bench-digits-too-long", "bench-csv-write-fails",
+        "sub-non-ascii-after-digits", "sub-two-trailing-newlines", "bench-csv-missing-dir",
+        "bench-csv-is-a-directory", "bench-digits-too-long", "bench-csv-write-fails",
     ],
 )
 def test_bad_input_is_one_line_exit_1(argv, tmp_path, capsys):
@@ -132,7 +134,14 @@ def test_bad_input_is_one_line_exit_1(argv, tmp_path, capsys):
     non_ascii.write_bytes(b"\xff\xfe")
     late_non_ascii = tmp_path / "late.txt"
     late_non_ascii.write_bytes(b"12\xff3")
-    paths = {"non_ascii": non_ascii, "late_non_ascii": late_non_ascii, "tmp": tmp_path}
+    two_newlines = tmp_path / "two.txt"
+    two_newlines.write_bytes(b"1000\n\n")
+    paths = {
+        "non_ascii": non_ascii,
+        "late_non_ascii": late_non_ascii,
+        "two_newlines": two_newlines,
+        "tmp": tmp_path,
+    }
     code, _, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 1
     assert err.count("error:") == 1
@@ -141,6 +150,8 @@ def test_bad_input_is_one_line_exit_1(argv, tmp_path, capsys):
         assert "invalid digit" in err and "position" in err
     if "@{late_non_ascii}" in argv:
         assert "invalid digit" in err and "position 2" in err
+    if "@{two_newlines}" in argv:
+        assert "invalid digit" in err and "position 4" in err
     if "/dev/full" in argv:
         assert "/dev/full" in err
 
@@ -254,6 +265,22 @@ def test_selftest_prints_no_ok_for_a_failed_section(monkeypatch):
     assert not selftest_mod.run_selftest(echo=lines.append)
     assert any(line.startswith("FAIL worst-case") for line in lines)
     assert not any(line.startswith("ok: worst-case ripple") for line in lines)
+    assert lines[-1] == "selftest FAILED"
+
+
+def test_selftest_fails_on_a_borrow_free_section_failure(monkeypatch):
+    # a 2-limb ripple takes 2 passes, which the borrow-free section must
+    # report, and the whole selftest then fails with it alone
+    import bigsub.selftest as selftest_mod
+
+    ripple = [("1" + "0" * 18, "1")]
+    monkeypatch.setattr(selftest_mod, "borrow_free_pairs", lambda count, max_digits, seed: ripple)
+    lines = []
+    assert not selftest_mod.run_selftest(echo=lines.append)
+    assert "FAIL borrow-free input took 2 passes" in lines
+    assert not any(line.startswith("ok: borrow-free") for line in lines)
+    assert any(line.startswith("ok: oracle equivalence") for line in lines)
+    assert any(line.startswith("ok: worst-case ripple") for line in lines)
     assert lines[-1] == "selftest FAILED"
 
 

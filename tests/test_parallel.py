@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from bigsub import (
     LIMB_BASE,
-    BorrowExhausted,
     IterationStats,
     NegativeResult,
     compare_magnitude,
@@ -98,8 +97,9 @@ def test_initial_pass_speculative_limb_value():
 
 
 def test_initial_pass_underflow_at_top_limb_raises():
+    # a borrow out of limb 0 means a < b
     result = np.empty(2, dtype=np.int64)
-    with pytest.raises(BorrowExhausted):
+    with pytest.raises(NegativeResult):
         initial_frontier(range(2), arr([3, 9]), arr([5, 1]), result)
 
 
@@ -135,7 +135,7 @@ def test_borrow_pass_clean_board_is_fixed_point():
 
 def test_borrow_pass_emission_past_top_limb_raises():
     result = arr([0, 5])
-    with pytest.raises(BorrowExhausted):
+    with pytest.raises(NegativeResult):
         resolve_frontier(result, arr([0]))
 
 
@@ -181,10 +181,10 @@ def test_borrow_pass_matches_a_per_limb_model(limbs_and_flags, w):
     chunks = partition_limbs(n, w)
     sparse, frontier = arr(limbs), np.flatnonzero(flags)
     if exhausted:
-        with pytest.raises(BorrowExhausted):
+        with pytest.raises(NegativeResult):
             for c in chunks:
                 borrow_pass(c, result, read, write)
-        with pytest.raises(BorrowExhausted):
+        with pytest.raises(NegativeResult):
             resolve_frontier(sparse, frontier)
         return
     for c in chunks:
@@ -198,14 +198,18 @@ def test_borrow_pass_matches_a_per_limb_model(limbs_and_flags, w):
     assert frontier.tolist() == np.flatnonzero(flags).tolist()
 
 
-# a pass over _FEW_FLAGS flags, over one more, and over one more all of
-# whose limbs are zero, so that it returns an array
+# a pass over _FEW_FLAGS flags, over one more, over one more all of
+# whose limbs are zero, so that it returns an array, and over one more all
+# but one of whose limbs are zero, so that numpy returns exactly
+# _FEW_FLAGS flags, as a list
 @example(exactly_flagged(_FEW_FLAGS, False), False)
 @example(exactly_flagged(_FEW_FLAGS, False), True)
 @example(exactly_flagged(_FEW_FLAGS + 1, False), False)
 @example(exactly_flagged(_FEW_FLAGS + 1, False), True)
 @example(([1] + [0] * (_FEW_FLAGS + 1), [False] + [True] * (_FEW_FLAGS + 1)), False)
 @example(([1] + [0] * (_FEW_FLAGS + 1), [False] + [True] * (_FEW_FLAGS + 1)), True)
+@example(([1] + [0] * _FEW_FLAGS + [5], [False] + [True] * (_FEW_FLAGS + 1)), False)
+@example(([1] + [0] * _FEW_FLAGS + [5], [False] + [True] * (_FEW_FLAGS + 1)), True)
 @given(flagged_limbs(), st.booleans())
 def test_frontier_never_grows_and_is_a_list_once_small(limbs_and_flags, as_list):
     limbs, flags = limbs_and_flags
@@ -214,7 +218,7 @@ def test_frontier_never_grows_and_is_a_list_once_small(limbs_and_flags, as_list)
         frontier = frontier.tolist()
     try:
         following = resolve_frontier(arr(limbs), frontier)
-    except BorrowExhausted:
+    except NegativeResult:
         assert flags[0] and not limbs[0]
         return
     assert len(following) <= len(frontier)
@@ -350,10 +354,10 @@ def test_worker_errors_propagate_without_deadlock(monkeypatch):
     import bigsub.parallel as par_mod
 
     def exploding(chunk, a, b, result):
-        raise BorrowExhausted(chunk.start)
+        raise ZeroDivisionError(chunk.start)
 
     monkeypatch.setattr(par_mod, "initial_frontier", exploding)
-    with pytest.raises(BorrowExhausted):
+    with pytest.raises(ZeroDivisionError):
         subtract_parallel(parse_magnitude("100"), parse_magnitude("1"), 4)
 
 
@@ -392,16 +396,49 @@ def test_successful_calls_leave_no_reference_cycles():
         gc.enable()
 
 
+def negative_raised_in(a, b, w):
+    """The names of the functions, outermost first, that the
+    NegativeResult of subtract_parallel(a, b, w) passed through."""
+    try:
+        subtract_parallel(a, b, w)
+    except NegativeResult as exc:
+        names, tb = [], exc.__traceback__.tb_next
+        while tb is not None:
+            names.append(tb.tb_frame.f_code.co_name)
+            tb = tb.tb_next
+        return names
+    pytest.fail("a < b did not raise NegativeResult")
+
+
 def test_failed_calls_leave_no_reference_cycles(monkeypatch):
     # a failed call's arrays must be freed with its exception, not when the
     # cyclic collector next runs
     import bigsub.parallel as par_mod
 
+    # a < b, found by each of the three places that read the sign
+    negative = {
+        # the initial pass, in the thread of chunk 0: the lead limbs underflow
+        ("subtract_parallel", "work", "initial_frontier", "_lend"): ("3" + "0" * 90, "5" + "0" * 90),
+        # a resolution pass, in the caller: a borrow ripples into limb 0
+        ("subtract_parallel", "resolve_frontier"): ("1" + "0" * 90, "1" + "0" * 89 + "1"),
+        # the length check: b has more limbs than a
+        ("subtract_parallel",): ("1" + "0" * 90, "1" + "0" * 108),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for w in (1, 2, 4):
+            for path, pair in negative.items():
+                assert negative_raised_in(*map(parse_magnitude, pair), w) == list(path)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
     class WorkerDied(BaseException):
         pass
 
     ripple = (parse_magnitude("1" + "0" * 90), parse_magnitude("1"))
-    for failure in (BorrowExhausted, WorkerDied):
+    for failure in (ZeroDivisionError, WorkerDied):
 
         def failing(chunk, a, b, result, failure=failure):
             raise failure(chunk.start)
@@ -413,7 +450,7 @@ def test_failed_calls_leave_no_reference_cycles(monkeypatch):
             for w in (1, 2, 4):
                 try:
                     subtract_parallel(*ripple, w)
-                except (BorrowExhausted, WorkerDied):
+                except (ZeroDivisionError, WorkerDied):
                     pass
                 else:
                     pytest.fail("the patched initial_frontier did not fail the call")
@@ -425,12 +462,19 @@ def test_failed_calls_leave_no_reference_cycles(monkeypatch):
 def test_pass_cap_guard_reports_corruption(monkeypatch):
     import bigsub.parallel as par_mod
 
+    calls = []
+
     def never_drains(result, frontier):
+        calls.append(len(frontier))
         return frontier
 
     monkeypatch.setattr(par_mod, "resolve_frontier", never_drains)
-    with pytest.raises(IterationLimitExceeded):
+    with pytest.raises(IterationLimitExceeded) as err:
         subtract_parallel(parse_magnitude("1" + "0" * 36), parse_magnitude("1"), 2)
+    # the cap is the limb count: the initial pass and n - 1 resolution
+    # passes run, and not one more
+    assert calls == [1, 1]
+    assert "after 3 passes over 3 limbs" in str(err.value)
 
 
 def test_base_exception_in_one_worker_cannot_hang_the_pool(monkeypatch):
@@ -483,7 +527,7 @@ def test_failed_thread_start_releases_the_started_workers(monkeypatch, worker_fa
         real_start(thread)
 
     def fails_in_worker_0(chunk, a, b, result):
-        raise BorrowExhausted(chunk.start)
+        raise ZeroDivisionError(chunk.start)
 
     monkeypatch.setattr(threading.Thread, "start", start)
     if worker_fails:

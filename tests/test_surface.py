@@ -13,7 +13,6 @@ from pathlib import Path
 import bigsub
 
 PUBLIC = [
-    "BorrowExhausted",
     "DecimalMagnitude",
     "EmptyInput",
     "InvalidDigit",
