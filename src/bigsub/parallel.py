@@ -18,7 +18,10 @@ has.  A large frontier is an int64 array, resolved by numpy.  A frontier
 of a few flags (a ripple's one, say) is a list of Python ints, resolved
 limb by limb, since numpy's fixed cost per call would dominate it.  A
 pass raises at most one flag per flag it reads, so a frontier never
-grows: once a list, it stays one for the rest of the call.
+grows: once a list, it stays one for the rest of the call.  The list
+passes of a call read and write the limbs as Python ints through one
+memoryview of the result array, taken once per call, so that a pass over
+one flag costs one read and one write, with no numpy scalar access.
 
 A borrow out of limb 0, the most significant, has no limb to land in: it
 happens iff a < b, and either pass raises NegativeResult there.  So, as
@@ -44,6 +47,9 @@ from .magnitude import (
 )
 
 _BASE64 = np.int64(LIMB_BASE)
+# a name, not LIMB_BASE - 1 in the loop: that would build a new int on
+# every borrow that crosses a zero limb
+_LIMB_MAX = LIMB_BASE - 1
 
 
 @dataclass(frozen=True)
@@ -113,15 +119,16 @@ def initial_frontier(
 
 
 # Frontiers of at most this many flags are lists resolved limb by limb on
-# Python ints, larger ones arrays resolved by numpy, whose fixed cost of a
-# few µs per pass only pays off above it.  One pass, half of the flagged
-# limbs zero, medians of 21 rounds pinned to either CPU of a 2-vCPU Xeon
-# (Python 3.11.7, numpy 2.4.6), the list body against the array body:
-# 0.5-1.1 / 3.7-5.1 / 4.5-6.1 / 5.6-6.0 / 11.9-12.7 µs against
-# 3.8-6.3 / 5.1-7.4 / 5.0-7.3 / 5.2-5.6 / 9.2-9.8 µs at 1 / 16 / 20 / 24 /
-# 32 flags.  So the bodies cross at 20-24 flags; passes of 17-20 flags,
-# 1-2 µs apart, are left to numpy.
-_FEW_FLAGS = 16
+# Python ints through a memoryview, larger ones arrays resolved by numpy,
+# whose fixed cost of a few µs per pass only pays off above it.  One pass,
+# half of the flagged limbs zero, pinned to either CPU of a 2-vCPU Xeon
+# (Python 3.11.7, numpy 2.4.6): the median over 21 rounds of the time
+# ratio, resolve_few on a memoryview against the numpy body (each timed as
+# the median of 41 calls), read 0.09 / 0.40-0.46 / 0.68-0.79 / 0.82-0.94 /
+# 0.88-1.09 / 1.18-1.36 at 1 / 16 / 32 / 40 / 48 / 64 flags; at 40 flags
+# the bodies took 5.3-8.7 µs against 5.6-10.7 µs.  So they cross at 40-48
+# flags, and passes of 41-48 flags, about as fast either way, go to numpy.
+_FEW_FLAGS = 40
 
 
 def resolve_frontier(
@@ -137,23 +144,31 @@ def resolve_frontier(
     The frontier may be an int64 array or a list.  The next one is a list
     of Python ints when it has at most _FEW_FLAGS entries, else an int64
     array.  A pass raises at most one flag per flag it reads, so a
-    frontier never grows, and once a list it stays one.
+    frontier never grows, and once a list it stays one.  A pass over at
+    most _FEW_FLAGS flags is resolve_few on a memoryview of the limbs.
     """
     if len(frontier) > _FEW_FLAGS:
         frontier = np.asarray(frontier, dtype=np.int64)
         result_limbs[frontier] -= 1
         following = _lend(result_limbs, 0, frontier[result_limbs[frontier] < 0])
         return following if following.size > _FEW_FLAGS else following.tolist()
-    # a type check costs a fraction of isinstance's on a pass this short
     if type(frontier) is not list:
         frontier = frontier.tolist()
+    with memoryview(result_limbs) as limbs:
+        return resolve_few(limbs, frontier)
+
+
+def resolve_few(limbs: memoryview, frontier: list[int]) -> list[int]:
+    """resolve_frontier's pass over a list frontier, limb by limb on Python
+    ints: `limbs` is a writable memoryview of the int64 result limbs, and
+    the next frontier is a list, whatever its length."""
     following = []
     for i in frontier:
-        limb = result_limbs.item(i)
+        limb = limbs[i]
         if limb:
-            result_limbs[i] = limb - 1
+            limbs[i] = limb - 1
         elif i:
-            result_limbs[i] = LIMB_BASE - 1
+            limbs[i] = _LIMB_MAX
             following.append(i - 1)
         else:
             raise NegativeResult("minuend is smaller than subtrahend")
@@ -198,6 +213,12 @@ def borrow_pass(chunk, result_limbs, read_board, write_board) -> None:
         write_board[resolve_frontier(result_limbs, hits)] = 1
 
 
+def _pass_limit(passes: int, n: int) -> IterationLimitExceeded:
+    return IterationLimitExceeded(
+        f"borrows still pending after {passes} passes over {n} limbs"
+    )
+
+
 def subtract_parallel(
     a: DecimalMagnitude,
     b: DecimalMagnitude,
@@ -210,9 +231,11 @@ def subtract_parallel(
     worker count) and the pass statistics.  Each chunk's initial pass
     runs in a thread of its own, and the first exception raised there is
     re-raised here.  The resolution passes run in the calling thread.
-    Their frontier is a list of Python ints whenever it holds at most
-    _FEW_FLAGS flags, and an int64 array otherwise.  Total passes are
-    hard-capped at the limb count, beyond which
+    Their frontier is an int64 array, resolved by resolve_frontier, while
+    it holds more than _FEW_FLAGS flags, and from then on a list of Python
+    ints, resolved by resolve_few on one memoryview of the result limbs,
+    which the call releases before it returns or raises.  Total passes
+    are hard-capped at the limb count, beyond which
     IterationLimitExceeded signals corruption.
     """
     n = a.limb_count
@@ -257,12 +280,21 @@ def subtract_parallel(
     # chunk order keeps the concatenated parts sorted and unique
     frontier = np.concatenate(parts)
     passes = 1
-    while len(frontier):
+    while len(frontier) > _FEW_FLAGS:
         if passes >= n:
-            raise IterationLimitExceeded(
-                f"borrows still pending after {passes} passes over {n} limbs"
-            )
+            raise _pass_limit(passes, n)
         passes += 1
         frontier = resolve_frontier(result_limbs, frontier)
+    # an initial frontier of at most _FEW_FLAGS flags is still an array
+    if type(frontier) is not list:
+        frontier = frontier.tolist()
+    # one view serves every list pass; it is released before the result
+    # array turns read-only, and when a pass raises
+    with memoryview(result_limbs) as limbs:
+        while frontier:
+            if passes >= n:
+                raise _pass_limit(passes, n)
+            passes += 1
+            frontier = resolve_few(limbs, frontier)
     result = _magnitude_from_padded(result_limbs)
     return result, IterationStats(passes, n, len(chunks))

@@ -186,6 +186,7 @@ def test_an_internal_fault_keeps_its_traceback(monkeypatch):
     # a resolution pass that re-emits its frontier never settles: that is
     # corruption, not an input error, so main does not map it to a code
     monkeypatch.setattr("bigsub.parallel.resolve_frontier", lambda result, frontier: frontier)
+    monkeypatch.setattr("bigsub.parallel.resolve_few", lambda limbs, frontier: frontier)
     with pytest.raises(IterationLimitExceeded):
         main(["sub", "--a", "1" + "0" * 36, "--b", "1", "--parallel"])
 

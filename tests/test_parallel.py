@@ -25,6 +25,7 @@ from bigsub.parallel import (
     initial_frontier,
     initial_pass,
     partition_limbs,
+    resolve_few,
     resolve_frontier,
 )
 from bigsub.rng import SplitMix64
@@ -141,9 +142,10 @@ def test_borrow_pass_emission_past_top_limb_raises():
 
 @st.composite
 def flagged_limbs(draw):
-    """Result limbs and a read board of one length in [1, 60]: the length
-    is drawn first, since st.lists alone seldom draws long lists."""
-    n = draw(st.integers(1, 60))
+    """Result limbs and a read board of one length in [1, 4 * _FEW_FLAGS],
+    so that a pass may meet either kernel: the length is drawn first,
+    since st.lists alone seldom draws long lists."""
+    n = draw(st.integers(1, 4 * _FEW_FLAGS))
     limb = st.sampled_from([0, 1, B1]) | st.integers(0, B1)
     return draw(st.lists(limb, min_size=n, max_size=n)), draw(
         st.lists(st.booleans(), min_size=n, max_size=n)
@@ -180,13 +182,23 @@ def test_borrow_pass_matches_a_per_limb_model(limbs_and_flags, w):
     write = np.zeros(n, dtype=np.uint8)
     chunks = partition_limbs(n, w)
     sparse, frontier = arr(limbs), np.flatnonzero(flags)
+    # the list kernel, on a memoryview, over a frontier of any length
+    viewed, listed = arr(limbs), frontier.tolist()
     if exhausted:
         with pytest.raises(NegativeResult):
             for c in chunks:
                 borrow_pass(c, result, read, write)
         with pytest.raises(NegativeResult):
             resolve_frontier(sparse, frontier)
+        with memoryview(viewed) as view, pytest.raises(NegativeResult):
+            resolve_few(view, listed)
         return
+    with memoryview(viewed) as view:
+        following = resolve_few(view, listed)
+    assert viewed.tolist() == want
+    assert following == np.flatnonzero(want_write).tolist()
+    assert all(type(i) is int for i in following)
+    assert listed == np.flatnonzero(flags).tolist()
     for c in chunks:
         borrow_pass(c, result, read, write)
     assert result.tolist() == want
@@ -280,6 +292,15 @@ def test_worst_case_ripple_iterations():
         assert format_magnitude(result) == "9" * (18 * (n - 1))
 
 
+def released(view):
+    """True iff the memoryview `view` has been released."""
+    try:
+        view.nbytes
+    except ValueError:
+        return True
+    return False
+
+
 def test_one_call_runs_both_resolution_kernels(monkeypatch):
     # 2 * _FEW_FLAGS independent borrow chains, the z-th a 1 limb followed
     # by z zero limbs with the subtrahend's 1 under the last: the frontier
@@ -291,27 +312,41 @@ def test_one_call_runs_both_resolution_kernels(monkeypatch):
     b_limbs = [x for z in lengths for x in [0] * z + [1]]
     a_text, b_text = ("".join("%018d" % x for x in limbs).lstrip("0") for limbs in (a_limbs, b_limbs))
     a, b = parse_magnitude(a_text), parse_magnitude(b_text)
-    real_resolve = par_mod.resolve_frontier
-    sizes, listed = [], []
+    real_resolve, real_few = par_mod.resolve_frontier, par_mod.resolve_few
+    sizes, listed, views = [], [], []
 
     def recording_resolve_frontier(result, frontier):
         sizes.append(len(frontier))
         listed.append(isinstance(frontier, list))
         return real_resolve(result, frontier)
 
+    def recording_resolve_few(limbs, frontier):
+        sizes.append(len(frontier))
+        listed.append(isinstance(frontier, list))
+        views.append(limbs)
+        return real_few(limbs, frontier)
+
     monkeypatch.setattr(par_mod, "resolve_frontier", recording_resolve_frontier)
+    monkeypatch.setattr(par_mod, "resolve_few", recording_resolve_few)
     want = subtract_sequential(a, b)
     assert format_magnitude(want) == subtract_digitwise(a_text, b_text)
     for w in (1, 2, 3, 8):
         sizes.clear()
         listed.clear()
+        views.clear()
         result, stats = subtract_parallel(a, b, w)
         assert result.limbs == want.limbs
         assert stats.iterations == 1 + max(lengths)
+        assert len(sizes) == max(lengths)
         assert sizes[0] > _FEW_FLAGS >= sizes[-1]
         # the frontier never grows, and turns from an array into a list once
         assert sizes == sorted(sizes, reverse=True)
         assert listed == sorted(listed) and not listed[0] and listed[-1]
+        # every list pass ran on the one view the call took, released
+        # before the call returned
+        assert len(views) == listed.count(True)
+        assert all(v is views[0] for v in views)
+        assert isinstance(views[0], memoryview) and released(views[0])
 
 
 def test_best_case_single_iteration():
@@ -398,16 +433,26 @@ def test_successful_calls_leave_no_reference_cycles():
 
 def negative_raised_in(a, b, w):
     """The names of the functions, outermost first, that the
-    NegativeResult of subtract_parallel(a, b, w) passed through."""
+    NegativeResult of subtract_parallel(a, b, w) passed through, and the
+    memoryview of the limbs the call took, or None."""
     try:
         subtract_parallel(a, b, w)
     except NegativeResult as exc:
         names, tb = [], exc.__traceback__.tb_next
+        view = tb.tb_frame.f_locals.get("limbs")
         while tb is not None:
             names.append(tb.tb_frame.f_code.co_name)
             tb = tb.tb_next
-        return names
+        return names, view
     pytest.fail("a < b did not raise NegativeResult")
+
+
+def chained_text(chains):
+    """The operands of borrow chains, one per (a_limbs, b_limbs) pair of
+    equal length, lead chain first, as decimal text."""
+    return tuple(
+        "".join("%018d" % x for chain in chains for x in chain[k]).lstrip("0") for k in (0, 1)
+    )
 
 
 def test_failed_calls_leave_no_reference_cycles(monkeypatch):
@@ -415,21 +460,44 @@ def test_failed_calls_leave_no_reference_cycles(monkeypatch):
     # cyclic collector next runs
     import bigsub.parallel as par_mod
 
-    # a < b, found by each of the three places that read the sign
-    negative = {
+    # a < b, found by each of the places that read the sign
+    negative = [
         # the initial pass, in the thread of chunk 0: the lead limbs underflow
-        ("subtract_parallel", "work", "initial_frontier", "_lend"): ("3" + "0" * 90, "5" + "0" * 90),
-        # a resolution pass, in the caller: a borrow ripples into limb 0
-        ("subtract_parallel", "resolve_frontier"): ("1" + "0" * 90, "1" + "0" * 89 + "1"),
+        (("subtract_parallel", "work", "initial_frontier", "_lend"), ("3" + "0" * 90, "5" + "0" * 90)),
+        # a list pass, in the caller: a borrow ripples into limb 0
+        (("subtract_parallel", "resolve_few"), ("1" + "0" * 90, "1" + "0" * 89 + "1")),
+        # a list pass after array passes: the longest of 2 * _FEW_FLAGS
+        # chains, the lead one, ripples into limb 0 once the others settled
+        (
+            ("subtract_parallel", "resolve_few"),
+            chained_text(
+                [([1] + [0] * (2 * _FEW_FLAGS), [1] + [0] * (2 * _FEW_FLAGS - 1) + [1])]
+                + [([1] + [0] * z, [0] * z + [1]) for z in range(2 * _FEW_FLAGS - 1, 0, -1)]
+            ),
+        ),
+        # an array pass: the first pass over _FEW_FLAGS + 1 flags reaches
+        # limb 0
+        (
+            ("subtract_parallel", "resolve_frontier", "_lend"),
+            chained_text([([1, 0], [1, 1])] + [([1, 0], [0, 1])] * _FEW_FLAGS),
+        ),
         # the length check: b has more limbs than a
-        ("subtract_parallel",): ("1" + "0" * 90, "1" + "0" * 108),
-    }
+        (("subtract_parallel",), ("1" + "0" * 90, "1" + "0" * 108)),
+    ]
     gc.collect()
     gc.disable()
     try:
         for w in (1, 2, 4):
-            for path, pair in negative.items():
-                assert negative_raised_in(*map(parse_magnitude, pair), w) == list(path)
+            for path, pair in negative:
+                names, view = negative_raised_in(*map(parse_magnitude, pair), w)
+                assert names == list(path)
+                # a call that reached its list passes took a view of its
+                # limbs, and released it when the pass raised
+                if "resolve_few" in path:
+                    assert isinstance(view, memoryview) and released(view)
+                else:
+                    assert view is None
+        del view
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -468,13 +536,23 @@ def test_pass_cap_guard_reports_corruption(monkeypatch):
         calls.append(len(frontier))
         return frontier
 
+    # the list kernel, and the array kernel over _FEW_FLAGS + 1 one-limb
+    # borrow chains
     monkeypatch.setattr(par_mod, "resolve_frontier", never_drains)
+    monkeypatch.setattr(par_mod, "resolve_few", never_drains)
     with pytest.raises(IterationLimitExceeded) as err:
         subtract_parallel(parse_magnitude("1" + "0" * 36), parse_magnitude("1"), 2)
     # the cap is the limb count: the initial pass and n - 1 resolution
     # passes run, and not one more
     assert calls == [1, 1]
     assert "after 3 passes over 3 limbs" in str(err.value)
+    calls.clear()
+    n = 2 * (_FEW_FLAGS + 1)
+    a, b = chained_text([([1, 0], [0, 1])] * (_FEW_FLAGS + 1))
+    with pytest.raises(IterationLimitExceeded) as err:
+        subtract_parallel(parse_magnitude(a), parse_magnitude(b), 2)
+    assert calls == [_FEW_FLAGS + 1] * (n - 1)
+    assert f"after {n} passes over {n} limbs" in str(err.value)
 
 
 def test_base_exception_in_one_worker_cannot_hang_the_pool(monkeypatch):
@@ -559,7 +637,8 @@ def test_failed_thread_start_releases_the_started_workers(monkeypatch, worker_fa
 def test_initial_passes_run_in_chunk_threads_and_borrow_passes_in_the_caller(monkeypatch):
     import bigsub.parallel as par_mod
 
-    real_initial, real_resolve = par_mod.initial_frontier, par_mod.resolve_frontier
+    real_initial = par_mod.initial_frontier
+    real_resolve, real_few = par_mod.resolve_frontier, par_mod.resolve_few
     seen = []
 
     def recording_initial_frontier(chunk, *args):
@@ -570,8 +649,13 @@ def test_initial_passes_run_in_chunk_threads_and_borrow_passes_in_the_caller(mon
         seen.append(("borrow", list(frontier), threading.current_thread().name))
         return real_resolve(result, frontier)
 
+    def recording_resolve_few(limbs, frontier):
+        seen.append(("borrow", list(frontier), threading.current_thread().name))
+        return real_few(limbs, frontier)
+
     monkeypatch.setattr(par_mod, "initial_frontier", recording_initial_frontier)
     monkeypatch.setattr(par_mod, "resolve_frontier", recording_resolve_frontier)
+    monkeypatch.setattr(par_mod, "resolve_few", recording_resolve_few)
     caller = threading.current_thread().name
     a, b = parse_magnitude("1" + "0" * 90), parse_magnitude("1")  # a 6-limb ripple
     for w in (1, 2, 4):
