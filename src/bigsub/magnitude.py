@@ -245,27 +245,16 @@ def format_magnitude(m: DecimalMagnitude) -> str:
 def compare_magnitude(a: DecimalMagnitude, b: DecimalMagnitude) -> int:
     """Three-way compare of canonical magnitudes: -1 less, 0 equal, 1 greater.
 
-    Limb count decides first; equal counts fall back to lexicographic
-    comparison of limbs, most significant first.
+    Limb count decides first; equal counts compare the first limb, most
+    significant first, in which the two limb arrays differ.
     """
-    na, nb = a.limb_count, b.limb_count
-    if na != nb:
-        return -1 if na < nb else 1
-    if na < _ARRAY_MIN_LIMBS:
-        x, y = a.limbs, b.limbs
-        if x == y:
-            return 0
-        return -1 if x < y else 1
-    # the first differing limb decides: most often the lead limb, which
-    # spares the full scan; else argmax finds it, or gives 0 if none does
-    x, y = a._array, b._array
-    i = 0
-    if x[0] == y[0]:
-        differ = x != y
-        i = int(differ.argmax())
-        if not differ[i]:
-            return 0
-    return -1 if x[i] < y[i] else 1
+    x, y = a.limb_count, b.limb_count
+    if x == y:
+        xs, ys = limb_array(a), limb_array(b)
+        # argmax gives the first differing limb, or 0 when none differs
+        i = int((xs != ys).argmax())
+        x, y = int(xs[i]), int(ys[i])
+    return (x > y) - (x < y)
 
 
 def pad_to_length(m: DecimalMagnitude, n: int) -> list[int]:

@@ -14,14 +14,13 @@ the whole frontier.  The borrows are double-buffered: a resolution pass
 reads the frontier the previous pass wrote and builds a new one for the
 next pass, so the outcome is independent of the chunk count and of the
 order chunks run in, and a pass costs what it flags, not what the number
-has.  A large frontier is an int64 array, resolved by numpy.  A frontier
-of a few flags (a ripple's one, say) is a list of Python ints, resolved
-limb by limb, since numpy's fixed cost per call would dominate it.  A
-pass raises at most one flag per flag it reads, so a frontier never
-grows: once a list, it stays one for the rest of the call.  The list
-passes of a call read and write the limbs as Python ints through one
-memoryview of the result array, taken once per call, so that a pass over
-one flag costs one read and one write, with no numpy scalar access.
+has.  Each resolution kernel takes one frontier type: resolve_frontier an
+int64 array, resolved by numpy, and resolve_few a list of Python ints,
+resolved limb by limb through a memoryview of the result array, since
+numpy's fixed cost per call would dominate a pass over a few flags (a
+ripple's one, say).  A pass raises at most one flag per flag it reads, so
+a frontier never grows: subtract_parallel runs array passes while it
+holds more than _FEW_FLAGS flags, then turns it into a list once.
 
 A borrow out of limb 0, the most significant, has no limb to land in: it
 happens iff a < b, and either pass raises NegativeResult there.  So, as
@@ -131,37 +130,23 @@ def initial_frontier(
 _FEW_FLAGS = 40
 
 
-def resolve_frontier(
-    result_limbs: np.ndarray, frontier: np.ndarray | list[int]
-) -> np.ndarray | list[int]:
+def resolve_frontier(result_limbs: np.ndarray, frontier: np.ndarray) -> np.ndarray:
     """Resolution pass: apply the borrows at `frontier`, the sorted unique
-    limb indices the previous pass flagged, and return the next frontier.
+    limb indices the previous pass flagged, as an int64 array, and return
+    the next frontier, also an int64 array.
 
     A flagged limb is decremented; a flagged zero limb becomes 10^18 - 1
     and passes the borrow further left; at limb 0 that means a < b and
     raises NegativeResult.  Unflagged limbs are untouched.
-
-    The frontier may be an int64 array or a list.  The next one is a list
-    of Python ints when it has at most _FEW_FLAGS entries, else an int64
-    array.  A pass raises at most one flag per flag it reads, so a
-    frontier never grows, and once a list it stays one.  A pass over at
-    most _FEW_FLAGS flags is resolve_few on a memoryview of the limbs.
     """
-    if len(frontier) > _FEW_FLAGS:
-        frontier = np.asarray(frontier, dtype=np.int64)
-        result_limbs[frontier] -= 1
-        following = _lend(result_limbs, 0, frontier[result_limbs[frontier] < 0])
-        return following if following.size > _FEW_FLAGS else following.tolist()
-    if type(frontier) is not list:
-        frontier = frontier.tolist()
-    with memoryview(result_limbs) as limbs:
-        return resolve_few(limbs, frontier)
+    result_limbs[frontier] -= 1
+    return _lend(result_limbs, 0, frontier[result_limbs[frontier] < 0])
 
 
 def resolve_few(limbs: memoryview, frontier: list[int]) -> list[int]:
-    """resolve_frontier's pass over a list frontier, limb by limb on Python
-    ints: `limbs` is a writable memoryview of the int64 result limbs, and
-    the next frontier is a list, whatever its length."""
+    """resolve_frontier's pass over a list frontier of Python ints, limb by
+    limb: `limbs` is a writable memoryview of the int64 result limbs, and
+    the next frontier is a list."""
     following = []
     for i in frontier:
         limb = limbs[i]
@@ -230,13 +215,12 @@ def subtract_parallel(
     Returns the difference (bit-identical to subtract_sequential for any
     worker count) and the pass statistics.  Each chunk's initial pass
     runs in a thread of its own, and the first exception raised there is
-    re-raised here.  The resolution passes run in the calling thread.
-    Their frontier is an int64 array, resolved by resolve_frontier, while
-    it holds more than _FEW_FLAGS flags, and from then on a list of Python
-    ints, resolved by resolve_few on one memoryview of the result limbs,
-    which the call releases before it returns or raises.  Total passes
-    are hard-capped at the limb count, beyond which
-    IterationLimitExceeded signals corruption.
+    re-raised here.  The resolution passes run in the calling thread:
+    resolve_frontier while the frontier holds more than _FEW_FLAGS flags,
+    then, after the one conversion of the frontier to a list, resolve_few
+    on one memoryview of the result limbs, which the call releases before
+    it returns or raises.  Total passes are hard-capped at the limb count,
+    beyond which IterationLimitExceeded signals corruption.
     """
     n = a.limb_count
     chunks = partition_limbs(n, workers)
@@ -285,9 +269,7 @@ def subtract_parallel(
             raise _pass_limit(passes, n)
         passes += 1
         frontier = resolve_frontier(result_limbs, frontier)
-    # an initial frontier of at most _FEW_FLAGS flags is still an array
-    if type(frontier) is not list:
-        frontier = frontier.tolist()
+    frontier = frontier.tolist()
     # one view serves every list pass; it is released before the result
     # array turns read-only, and when a pass raises
     with memoryview(result_limbs) as limbs:

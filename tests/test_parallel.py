@@ -160,8 +160,8 @@ def exactly_flagged(count, exhausted):
     return limbs, flags
 
 
-# a frontier of exactly _FEW_FLAGS entries runs the limb-by-limb pass, one
-# more runs the numpy pass; each kernel also meets a flagged zero at limb 0
+# both kernels meet frontiers of _FEW_FLAGS entries and of one more, where
+# subtract_parallel switches between them, and a flagged zero at limb 0
 @example(exactly_flagged(_FEW_FLAGS, False), 2)
 @example(exactly_flagged(_FEW_FLAGS, True), 2)
 @example(exactly_flagged(_FEW_FLAGS + 1, False), 2)
@@ -211,36 +211,26 @@ def test_borrow_pass_matches_a_per_limb_model(limbs_and_flags, w):
 
 
 # a pass over _FEW_FLAGS flags, over one more, over one more all of
-# whose limbs are zero, so that it returns an array, and over one more all
-# but one of whose limbs are zero, so that numpy returns exactly
-# _FEW_FLAGS flags, as a list
-@example(exactly_flagged(_FEW_FLAGS, False), False)
-@example(exactly_flagged(_FEW_FLAGS, False), True)
-@example(exactly_flagged(_FEW_FLAGS + 1, False), False)
-@example(exactly_flagged(_FEW_FLAGS + 1, False), True)
-@example(([1] + [0] * (_FEW_FLAGS + 1), [False] + [True] * (_FEW_FLAGS + 1)), False)
-@example(([1] + [0] * (_FEW_FLAGS + 1), [False] + [True] * (_FEW_FLAGS + 1)), True)
-@example(([1] + [0] * _FEW_FLAGS + [5], [False] + [True] * (_FEW_FLAGS + 1)), False)
-@example(([1] + [0] * _FEW_FLAGS + [5], [False] + [True] * (_FEW_FLAGS + 1)), True)
-@given(flagged_limbs(), st.booleans())
-def test_frontier_never_grows_and_is_a_list_once_small(limbs_and_flags, as_list):
+# whose limbs are zero, over one more all but one of whose limbs are zero,
+# over one more that reaches a flagged zero at limb 0, and over none
+@example(exactly_flagged(_FEW_FLAGS, False))
+@example(exactly_flagged(_FEW_FLAGS + 1, False))
+@example(([1] + [0] * (_FEW_FLAGS + 1), [False] + [True] * (_FEW_FLAGS + 1)))
+@example(([1] + [0] * _FEW_FLAGS + [5], [False] + [True] * (_FEW_FLAGS + 1)))
+@example(exactly_flagged(_FEW_FLAGS + 1, True))
+@example(([0], [False]))
+@given(flagged_limbs())
+def test_resolve_frontier_returns_a_sorted_int64_array_no_longer_than_its_input(limbs_and_flags):
     limbs, flags = limbs_and_flags
     frontier = np.flatnonzero(flags)
-    if as_list:
-        frontier = frontier.tolist()
-    try:
-        following = resolve_frontier(arr(limbs), frontier)
-    except NegativeResult:
-        assert flags[0] and not limbs[0]
+    if flags[0] and not limbs[0]:
+        with pytest.raises(NegativeResult):
+            resolve_frontier(arr(limbs), frontier)
         return
+    following = resolve_frontier(arr(limbs), frontier)
+    assert isinstance(following, np.ndarray) and following.dtype == np.int64
     assert len(following) <= len(frontier)
-    got = list(following)
-    assert got == sorted(set(got))
-    if len(following) <= _FEW_FLAGS:
-        assert type(following) is list
-        assert all(type(i) is int for i in following)
-    else:
-        assert isinstance(following, np.ndarray) and following.dtype == np.int64
+    assert following.tolist() == sorted(set(following.tolist()))
 
 
 # ---- has_pending_borrows -------------------------------------------------
@@ -339,9 +329,10 @@ def test_one_call_runs_both_resolution_kernels(monkeypatch):
         assert stats.iterations == 1 + max(lengths)
         assert len(sizes) == max(lengths)
         assert sizes[0] > _FEW_FLAGS >= sizes[-1]
-        # the frontier never grows, and turns from an array into a list once
+        # the frontier never grows, and turns from an array into a list
+        # once, on the first pass over at most _FEW_FLAGS flags
         assert sizes == sorted(sizes, reverse=True)
-        assert listed == sorted(listed) and not listed[0] and listed[-1]
+        assert listed == [size <= _FEW_FLAGS for size in sizes]
         # every list pass ran on the one view the call took, released
         # before the call returned
         assert len(views) == listed.count(True)
