@@ -9,7 +9,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import VerificationFailure
-from .magnitude import DecimalMagnitude, format_magnitude, parse_magnitude
+from .magnitude import format_magnitude, parse_magnitude
 from .oracle import subtract_digitwise
 from .parallel import subtract_parallel
 from .rng import SplitMix64
@@ -127,35 +127,26 @@ def run_bench(case: BenchCase, verify: bool = False, emit_hash: bool = False) ->
     if verify:
         expected = subtract_digitwise(a_text, b_text)
     rows = []
-
-    def check_and_hash(algo: str, run: int, result: DecimalMagnitude) -> str:
-        if not (verify or emit_hash):
-            return ""
-        text = format_magnitude(result)
-        if verify and text != expected:
-            raise VerificationFailure(
-                f"{algo} run {run} disagrees with the reference "
-                f"(seed={case.seed}, digits={case.digits})"
-            )
-        return fnv1a64_hex(text) if emit_hash else ""
-
-    for run in range(1, case.runs + 1):
-        t0 = time.perf_counter()
-        result = subtract_sequential(a, b)
-        elapsed = time.perf_counter() - t0
-        rows.append(
-            BenchRow("sequential", case.digits, 1, run, elapsed, 0, check_and_hash("sequential", run, result))
-        )
-    for run in range(1, case.runs + 1):
-        t0 = time.perf_counter()
-        result, stats = subtract_parallel(a, b, case.workers)
-        elapsed = time.perf_counter() - t0
-        rows.append(
-            BenchRow(
-                "parallel", case.digits, case.workers, run, elapsed,
-                stats.iterations, check_and_hash("parallel", run, result),
-            )
-        )
+    for algo, workers, subtract, args in (
+        ("sequential", 1, subtract_sequential, (a, b)),
+        ("parallel", case.workers, subtract_parallel, (a, b, case.workers)),
+    ):
+        for run in range(1, case.runs + 1):
+            t0 = time.perf_counter()
+            result = subtract(*args)
+            elapsed = time.perf_counter() - t0
+            iterations = 0
+            if algo == "parallel":
+                result, stats = result
+                iterations = stats.iterations
+            text = format_magnitude(result) if verify or emit_hash else None
+            if verify and text != expected:
+                raise VerificationFailure(
+                    f"{algo} run {run} disagrees with the reference "
+                    f"(seed={case.seed}, digits={case.digits})"
+                )
+            result_hash = fnv1a64_hex(text) if emit_hash else ""
+            rows.append(BenchRow(algo, case.digits, workers, run, elapsed, iterations, result_hash))
     return rows
 
 

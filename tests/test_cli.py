@@ -63,6 +63,14 @@ def test_sub_verify_catches_a_faulty_parser(faulty_parse, a, b, monkeypatch, cap
     assert err.count("error:") == 1 and "Traceback" not in err
 
 
+def test_sub_parallel_verify_catches_a_wrong_result(monkeypatch, capsys):
+    monkeypatch.setattr("bigsub.cli.subtract_parallel", lambda a, b, workers: (parse_magnitude("1"), None))
+    code, out, err = run(capsys, "sub", "--a", "1000", "--b", "1", "--parallel", "--verify")
+    assert code == 3
+    assert out == ""
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
 def test_sub_file_operands(tmp_path, capsys):
     fa = tmp_path / "a.txt"
     fb = tmp_path / "b.txt"

@@ -307,6 +307,8 @@ def test_a_parallel_operation_never_builds_the_limbs_tuple():
         assert "limbs" not in m.__dict__
     for m in (a, b, difference):
         assert type(m.limbs) is tuple
+        assert "limbs" in m.__dict__
+        assert m.limbs is m.limbs
         assert all(type(limb) is int for limb in m.limbs)
         assert list(m.limbs) == limb_array(m).tolist()
     assert text == format_magnitude(subtract_sequential(a, b))
