@@ -1,9 +1,10 @@
 """Command-line interface: sub, bench, selftest.
 
 Exit codes: 0 success, 1 input or usage errors (an output that cannot
-be written and a worker thread that cannot start among them), 2 negative
-result, 3 verification failure (a --verify mismatch or a failed
-selftest).  Commands raise; main maps each failure to its code.
+be written and a MemoryError among them, such as subtract_parallel
+raises for a worker thread that cannot start), 2 negative result, 3
+verification failure (a --verify mismatch or a failed selftest).
+Commands raise; main maps each failure to its code by its type alone.
 """
 
 import argparse
@@ -177,13 +178,6 @@ def main(argv=None) -> int:
     except VerificationFailure as exc:
         code, message = EXIT_VERIFY, str(exc)
     except (EmptyInput, InvalidDigit, OSError, MemoryError) as exc:
-        code, message = EXIT_INPUT, str(exc)
-    except RuntimeError as exc:
-        # Thread.start raises a plain RuntimeError when no thread can
-        # start; subclasses such as IterationLimitExceeded and
-        # RecursionError are internal faults.
-        if type(exc) is not RuntimeError:
-            raise
         code, message = EXIT_INPUT, str(exc)
     print(f"error: {message}", file=sys.stderr)
     return code

@@ -14,10 +14,6 @@ class InvalidDigit(ValueError):
         super().__init__(f"invalid digit {char!r} at position {position}")
 
 
-class LengthUnderflow(ValueError):
-    """Raised when asked to pad a limb sequence to fewer limbs than it has."""
-
-
 class NegativeResult(ArithmeticError):
     """Raised when the subtrahend exceeds the minuend."""
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidDigit, LengthUnderflow
+from .errors import EmptyInput, InvalidDigit
 
 LIMB_DIGITS = 18
 LIMB_BASE = 10**LIMB_DIGITS
@@ -256,7 +256,7 @@ def pad_to_length(m: DecimalMagnitude, n: int) -> list[int]:
     padded = list(m.limbs) if arr is None else arr.tolist()
     count = len(padded)
     if n < count:
-        raise LengthUnderflow(f"cannot pad {count} limbs down to {n}")
+        raise ValueError(f"cannot pad {count} limbs down to {n}")
     if n > count:
         padded[:0] = [0] * (n - count)
     return padded

@@ -215,12 +215,14 @@ def subtract_parallel(
     Returns the difference (bit-identical to subtract_sequential for any
     worker count) and the pass statistics.  Each chunk's initial pass
     runs in a thread of its own, and the first exception raised there is
-    re-raised here.  The resolution passes run in the calling thread:
-    resolve_frontier while the frontier holds more than _FEW_FLAGS flags,
-    then, after the one conversion of the frontier to a list, resolve_few
-    on one memoryview of the result limbs, which the call releases before
-    it returns or raises.  Total passes are hard-capped at the limb count,
-    beyond which IterationLimitExceeded signals corruption.
+    re-raised here; a thread that cannot start raises MemoryError, once
+    the threads that did start have finished.  The resolution passes run
+    in the calling thread: resolve_frontier while the frontier holds more
+    than _FEW_FLAGS flags, then, after the one conversion of the frontier
+    to a list, resolve_few on one memoryview of the result limbs, which
+    the call releases before it returns or raises.  Total passes are
+    hard-capped at the limb count, beyond which IterationLimitExceeded
+    signals corruption.
     """
     n = a.limb_count
     chunks = partition_limbs(n, workers)
@@ -248,6 +250,10 @@ def subtract_parallel(
     try:
         for t in pool:
             t.start()
+    except RuntimeError as exc:
+        # Thread.start's "can't start new thread": out of a resource, as
+        # gen_operand reports an operand too long to allocate
+        raise MemoryError(str(exc)) from None
     finally:
         # Join every thread that runs, also when one could not start: that
         # failure is then the one reported.  A worker error's traceback

@@ -9,6 +9,10 @@ PAIRS covers all of it, so every sequence of its pairs is every pattern
 of that length: the small-scope hypothesis (Jackson, "Software
 Abstractions", 2006; Andoni et al., "Evaluating the Small Scope
 Hypothesis", 2003).
+
+From _ARRAY_MIN_LIMBS limbs up a magnitude holds an int64 array rather
+than a tuple, so the short patterns are also run padded on the left
+across that boundary.
 """
 
 from itertools import product
@@ -24,6 +28,7 @@ from bigsub import (
     subtract_parallel,
     subtract_sequential,
 )
+from bigsub.magnitude import _ARRAY_MIN_LIMBS
 
 # (a, b) limb pairs: two generate, two propagate, one kills; of each
 # generating and propagating pair, one has a zero minuend limb
@@ -72,26 +77,44 @@ def test_borrow_model_on_hand_worked_patterns():
     assert borrow_model([(9, 2)]) == (False, 1, 0)
 
 
+def check_pattern(pattern, workers):
+    """Both algorithms on one pattern against borrow_model, at each
+    worker count; a result keeps an array iff it is long enough."""
+    a_value, b_value = value(p[0] for p in pattern), value(p[1] for p in pattern)
+    a, b = parse_magnitude(str(a_value)), parse_magnitude(str(b_value))
+    negative, iterations, borrows = borrow_model(pattern)
+    assert negative == (a_value < b_value)
+    ops = OpCount()
+    if negative:
+        with pytest.raises(NegativeResult):
+            subtract_sequential(a, b, ops)
+        assert ops == OpCount()
+        for w in workers:
+            with pytest.raises(NegativeResult):
+                subtract_parallel(a, b, w)
+        return
+    want = subtract_sequential(a, b, ops)
+    assert value(want.limbs) == a_value - b_value
+    assert (want._array is None) == (want.limb_count < _ARRAY_MIN_LIMBS)
+    assert ops == OpCount(a.limb_count, borrows)
+    for w in workers:
+        got, stats = subtract_parallel(a, b, w)
+        assert (got._array is None) == (got.limb_count < _ARRAY_MIN_LIMBS)
+        assert got.limbs == want.limbs
+        assert stats == IterationStats(iterations, a.limb_count, min(w, a.limb_count))
+
+
 @pytest.mark.parametrize("n", range(1, MAX_LIMBS + 1))
 def test_every_borrow_pattern_at_every_worker_count(n):
     for pattern in product(PAIRS, repeat=n):
-        a_value, b_value = value(p[0] for p in pattern), value(p[1] for p in pattern)
-        a, b = parse_magnitude(str(a_value)), parse_magnitude(str(b_value))
-        negative, iterations, borrows = borrow_model(pattern)
-        assert negative == (a_value < b_value)
-        ops = OpCount()
-        if negative:
-            with pytest.raises(NegativeResult):
-                subtract_sequential(a, b, ops)
-            assert ops == OpCount()
-            for w in range(1, n + 1):
-                with pytest.raises(NegativeResult):
-                    subtract_parallel(a, b, w)
-            continue
-        want = subtract_sequential(a, b, ops)
-        assert value(want.limbs) == a_value - b_value
-        assert ops == OpCount(a.limb_count, borrows)
-        for w in range(1, n + 1):
-            got, stats = subtract_parallel(a, b, w)
-            assert got.limbs == want.limbs
-            assert stats == IterationStats(iterations, a.limb_count, min(w, a.limb_count))
+        check_pattern(pattern, range(1, n + 1))
+
+
+# a killing pair keeps the result as long as the operands; an equal pair
+# lets it strip back across the boundary to the pattern's length
+@pytest.mark.parametrize("pad", [(9, 2), (3, 3)], ids=["kill", "equal"])
+@pytest.mark.parametrize("length", [_ARRAY_MIN_LIMBS - 1, _ARRAY_MIN_LIMBS, _ARRAY_MIN_LIMBS + 1])
+def test_short_patterns_padded_across_the_array_boundary(length, pad):
+    for n in range(1, 4):
+        for tail in product(PAIRS, repeat=n):
+            check_pattern((pad,) * (length - n) + tail, (1, 2, 3, 8))

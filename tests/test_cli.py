@@ -199,6 +199,17 @@ def test_an_internal_fault_keeps_its_traceback(monkeypatch):
         main(["sub", "--a", "1" + "0" * 36, "--b", "1", "--parallel"])
 
 
+def test_a_plain_runtime_error_keeps_its_traceback(monkeypatch):
+    # main maps exceptions by type alone: a thread that cannot start
+    # reaches it as MemoryError, so a plain RuntimeError is a fault
+    def boom(m):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("bigsub.cli.format_magnitude", boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["sub", "--a", "5", "--b", "3"])
+
+
 @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
 def test_bench_seed_outside_64_bits_exit_1(seed, capsys):
     code, _, err = run(capsys, "bench", "--digits", "100", "--seed", seed)

@@ -22,7 +22,6 @@ from bigsub import (
     subtract_sequential,
 )
 from bigsub.bench import gen_operand
-from bigsub.errors import LengthUnderflow
 from bigsub.magnitude import (
     _magnitude_from_ints,
     _magnitude_from_padded,
@@ -120,7 +119,7 @@ def test_pad_to_length():
     assert pad_to_length(DecimalMagnitude((7,)), 3) == [0, 0, 7]
     assert pad_to_length(DecimalMagnitude((1, 2)), 2) == [1, 2]
     assert pad_to_length(DecimalMagnitude((9,)), 1) == [9]
-    with pytest.raises(LengthUnderflow):
+    with pytest.raises(ValueError, match="cannot pad"):
         pad_to_length(DecimalMagnitude((1, 2)), 1)
 
 

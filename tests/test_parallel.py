@@ -581,8 +581,8 @@ def test_base_exception_in_one_worker_cannot_hang_the_pool(monkeypatch):
 @pytest.mark.parametrize("worker_fails", [False, True])
 def test_failed_thread_start_releases_the_started_workers(monkeypatch, worker_fails):
     # a worker thread that cannot start: the started workers must be
-    # joined, and the start failure reported, also when a started worker
-    # failed meanwhile
+    # joined, and the start failure reported as MemoryError, also when a
+    # started worker failed meanwhile
     import bigsub.parallel as par_mod
 
     real_start = threading.Thread.start
@@ -617,7 +617,7 @@ def test_failed_thread_start_releases_the_started_workers(monkeypatch, worker_fa
         caller.start()
         caller.join(timeout=10)
         assert not caller.is_alive()
-        assert seen == [(RuntimeError, "can't start new thread")]
+        assert seen == [(MemoryError, "can't start new thread")]
         assert limb_starts == ["limb-0", "limb-1"]
         assert not [t.name for t in threading.enumerate() if t.name.startswith("limb-")]
         assert gc.collect() == 0
